@@ -87,7 +87,6 @@ def _bench_lumped_scenario(quick: bool) -> dict[str, object]:
         "num_levels": level + 1,
         "num_states": solution.num_solved_states,
         "num_product_modes": environment.num_product_modes,
-        "representation": solution.representation,
     }
 
 

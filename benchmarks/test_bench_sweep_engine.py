@@ -2,10 +2,9 @@
 
 The grid is twelve exact spectral solves around the paper's Figure-5 region
 (``N = 10..13`` at three arrival rates) — each solve is CPU-bound, which is
-exactly the workload the engine's process parallelism is for.  ``test_parallel_speedup`` measures both paths and asserts the parallel
-one wins on multi-core machines (it is skipped on single-CPU runners, where
-no speedup is physically possible; the two timed benchmarks still document
-the engine's overhead there).
+exactly the workload the engine's process parallelism is for.
+``test_parallel_speedup`` times both paths, prints the speedup and asserts
+that they agree; the two timed benchmarks document the engine's overhead.
 
 Run with ``pytest benchmarks/test_bench_sweep_engine.py --benchmark-only -s``.
 """
@@ -13,8 +12,6 @@ Run with ``pytest benchmarks/test_bench_sweep_engine.py --benchmark-only -s``.
 from __future__ import annotations
 
 import time
-
-import pytest
 
 from repro.queueing import sun_fitted_model
 from repro.sweeps import SolverPolicy, SweepRunner, SweepSpec, default_max_workers
@@ -44,7 +41,12 @@ def test_bench_sweep_parallel(run_once):
 
 
 def test_parallel_speedup():
-    """Parallel evaluation beats serial when more than one CPU is usable."""
+    """Parallel and serial evaluation give identical results.
+
+    The timings are printed for information only: a wall-clock race between
+    the two paths is not deterministic on a shared host, so speed belongs to
+    the baseline-relative bench gates, not to tier-1.
+    """
     workers = default_max_workers()
     spec = sweep_spec()
 
@@ -65,10 +67,3 @@ def test_parallel_speedup():
 
     # The engine guarantees identical results on both paths.
     assert [row.metrics for row in parallel] == [row.metrics for row in serial]
-
-    if workers < 2:
-        pytest.skip("single usable CPU: parallel speedup is not measurable here")
-    assert parallel_seconds < serial_seconds, (
-        f"parallel path ({parallel_seconds:.2f}s) should beat serial "
-        f"({serial_seconds:.2f}s) on {workers} CPUs"
-    )

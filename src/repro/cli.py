@@ -83,14 +83,7 @@ from .exceptions import ReproError
 from .experiments import format_key_values, format_table, render_report, run_all_experiments
 from .fitting import fit_exponential, fit_two_phase_from_moments
 from .queueing import UnreliableQueueModel
-from .scenarios import (
-    REPRESENTATIONS,
-    ScenarioModel,
-    preset_description,
-    preset_names,
-    resolve_representation,
-    scenario_preset,
-)
+from .scenarios import ScenarioModel, preset_description, preset_names, scenario_preset
 from .solvers import SolverPolicy, solve as solve_model, solver_names
 from .stats import EmpiricalDensity, estimate_moments, ks_test_grid
 from .sweeps import SweepRunner, SweepSpec
@@ -336,13 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated solver order with fallback (scenario-capable: ctmc, simulate)",
     )
     scenario.add_argument(
-        "--representation",
-        choices=REPRESENTATIONS,
-        default="auto",
-        help="chain representation for the CTMC solver: lumped (count-based, the "
-        "default under auto) or product (per-server-labelled, verification only)",
-    )
-    scenario.add_argument(
         "--horizon",
         type=float,
         default=50_000.0,
@@ -409,13 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=INITIAL_CONDITIONS,
         default="empty-operative",
         help="initial condition of the chain",
-    )
-    transient.add_argument(
-        "--representation",
-        choices=REPRESENTATIONS,
-        default="auto",
-        help="chain representation to sweep: lumped (count-based, the default "
-        "under auto) or product (per-server-labelled; scenario presets only)",
     )
     transient.add_argument(
         "--first-passage",
@@ -954,17 +933,14 @@ def _command_scenario(arguments: argparse.Namespace) -> int:
             title="Model",
         )
     )
-    representation = resolve_representation(arguments.representation)
     print()
     print(
         format_key_values(
             [
-                ("requested", arguments.representation),
-                ("chosen", representation),
                 ("lumped modes", scenario.num_modes),
-                ("product modes", scenario.environment.num_product_modes),
+                ("per-server product modes", scenario.environment.num_product_modes),
             ],
-            title="Representation",
+            title="State space",
         )
     )
     if not scenario.is_stable:
@@ -973,7 +949,6 @@ def _command_scenario(arguments: argparse.Namespace) -> int:
     policy = SolverPolicy(
         order=_parse_list(arguments.solvers, str, "--solvers"),
         simulate_horizon=arguments.horizon,
-        representation=arguments.representation,
     )
     outcome = solve_model(scenario, policy)
     if outcome.solver is None:
@@ -999,9 +974,7 @@ def _command_scenario(arguments: argparse.Namespace) -> int:
             "servers": scenario.num_servers,
             "arrival_rate": scenario.arrival_rate,
             "repair_capacity": scenario.effective_repair_capacity,
-            "representation": {
-                "requested": arguments.representation,
-                "chosen": representation,
+            "state_space": {
                 "num_modes": scenario.num_modes,
                 "num_product_modes": scenario.environment.num_product_modes,
             },
@@ -1051,15 +1024,12 @@ def _transient_times(arguments: argparse.Namespace) -> tuple[float, ...]:
 def _command_transient(arguments: argparse.Namespace) -> int:
     model = _transient_model(arguments)
     times = _transient_times(arguments)
-    solution = solve_transient(
-        model, times, initial=arguments.initial, representation=arguments.representation
-    )
+    solution = solve_transient(model, times, initial=arguments.initial)
     print(
         format_key_values(
             [
                 ("model", repr(model)),
                 ("initial condition", arguments.initial),
-                ("representation", solution.representation),
                 ("solved states", solution.num_solved_states),
                 ("truncation level", solution.truncation_level),
                 ("uniformization rate", solution.uniformization_rate),

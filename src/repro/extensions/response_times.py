@@ -28,9 +28,9 @@ import numpy as np
 from .._validation import check_non_negative, check_positive, check_probability
 from ..exceptions import SimulationError, SolverError
 from ..queueing.model import UnreliableQueueModel
-from ..simulation.queue_sim import UnreliableQueueSimulator
+from ..scenarios.model import ScenarioModel
+from ..simulation.scenario_sim import ScenarioSimulator
 from ..solvers import SolutionCache, SolverPolicy, solve
-from ..distributions import Exponential
 
 
 @dataclass(frozen=True)
@@ -140,14 +140,7 @@ def simulated_response_time_distribution(
     horizon = check_positive(horizon, "horizon")
     if not 0.0 <= warmup_fraction < 1.0:
         raise SimulationError("warmup_fraction must lie in [0, 1)")
-    simulator = UnreliableQueueSimulator(
-        num_servers=model.num_servers,
-        arrival_rate=model.arrival_rate,
-        service_distribution=Exponential(rate=model.service_rate),
-        operative_distribution=model.operative,
-        inoperative_distribution=model.inoperative,
-        seed=seed,
-    )
+    simulator = ScenarioSimulator(ScenarioModel.from_homogeneous(model), seed=seed)
     simulator.run(horizon)
     warmup_time = warmup_fraction * horizon
     samples = np.array(

@@ -1,4 +1,4 @@
-"""Markov-chain substrate: mode enumeration, environments and CTMC solvers.
+"""Markov-chain substrate: mode enumeration, the environment and CTMC kernels.
 
 Public API
 ----------
@@ -7,38 +7,22 @@ Public API
   :func:`mode_index_map`, :func:`operative_counts` — enumeration of the
   operational modes of the environment (paper Eq. 12 and the Section-3.1
   worked example).
-* :class:`BreakdownEnvironment`, :class:`ModeTransition`,
-  :func:`expected_num_modes` — the Markovian environment modulating the
-  queue: matrices ``A`` and ``D^A``, operative-server counts, availability
-  and the environment steady state.
 * :class:`ScenarioEnvironment`, :func:`expected_num_scenario_modes` — the
-  generalised environment of the scenario library: heterogeneous server
-  groups (product mode space, per-group capacity vector) and a limited
-  repair crew (completion rates scaled by ``min(broken, R) / broken``).
-* :func:`steady_state_from_generator`, :func:`steady_state_sparse`,
-  :func:`validate_generator`, :func:`embedded_jump_chain`,
-  :func:`mean_holding_times` — generic CTMC utilities.
+  Markovian environment modulating the queue: ``K`` server groups (product
+  mode space, per-group capacity vector) and a repair crew of ``R`` slots
+  (completion rates scaled by ``min(broken, R) / broken``).  The paper's
+  pool is the ``K = 1, R = N`` case.
+* :func:`assemble_level_mode_generator`, :func:`steady_state_csr`,
+  :func:`steady_state_from_generator`, :class:`LevelModeStructure`,
+  :class:`UniformizedOperator` — the sparse kernels of the truncated chains.
 """
 
-from .ctmc import (
-    embedded_jump_chain,
-    mean_holding_times,
-    steady_state_from_generator,
-    steady_state_sparse,
-    validate_generator,
-)
-from .environment import BreakdownEnvironment, ModeTransition, expected_num_modes
 from .kernels import (
     LevelModeStructure,
     UniformizedOperator,
     assemble_level_mode_generator,
     steady_state_csr,
-)
-from .product_env import ProductScenarioEnvironment
-from .scenario_env import (
-    LumpedScenarioEnvironment,
-    ScenarioEnvironment,
-    expected_num_scenario_modes,
+    steady_state_from_generator,
 )
 from .partitions import (
     compositions,
@@ -47,6 +31,7 @@ from .partitions import (
     num_modes,
     operative_counts,
 )
+from .scenario_env import ScenarioEnvironment, expected_num_scenario_modes
 
 __all__ = [
     "compositions",
@@ -54,20 +39,11 @@ __all__ = [
     "mode_index_map",
     "num_modes",
     "operative_counts",
-    "BreakdownEnvironment",
     "LevelModeStructure",
-    "LumpedScenarioEnvironment",
-    "ModeTransition",
-    "ProductScenarioEnvironment",
     "ScenarioEnvironment",
     "UniformizedOperator",
     "assemble_level_mode_generator",
-    "expected_num_modes",
     "expected_num_scenario_modes",
     "steady_state_csr",
     "steady_state_from_generator",
-    "steady_state_sparse",
-    "validate_generator",
-    "embedded_jump_chain",
-    "mean_holding_times",
 ]

@@ -1,7 +1,6 @@
 """Shared sparse CTMC kernels for the library's level x mode chains.
 
-Every truncated chain in the library — the homogeneous reference chain of
-:mod:`repro.queueing.ctmc_reference`, the scenario chain of
+Every truncated chain in the library — the steady-state chain of
 :mod:`repro.scenarios.ctmc` and the transient engine's chains — has the same
 shape: states are ``(level, mode)`` pairs indexed level-major
 (``index = level * num_modes + mode``), arrivals move one level up at a
@@ -174,6 +173,42 @@ def assemble_level_mode_generator(
     return generator.tocsr()
 
 
+def steady_state_from_generator(generator: np.ndarray) -> np.ndarray:
+    """Stationary distribution ``pi`` of a small dense CTMC generator (``pi Q = 0``).
+
+    The singular balance system is closed by appending the normalisation
+    ``sum(pi) = 1`` and solved by least squares for robustness against mild
+    ill-conditioning.  The direct sparse path falls back to it for small
+    chains on which every pinned pivot was rejected.
+
+    Raises
+    ------
+    SolverError
+        If the matrix is not square or the computed vector has significantly
+        negative entries (indicating a reducible or malformed generator).
+    """
+    matrix = np.asarray(generator, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise SolverError(f"generator must be square, got shape {matrix.shape}")
+    size = matrix.shape[0]
+    if size == 1:
+        return np.array([1.0])
+    system = np.vstack([matrix.T, np.ones((1, size))])
+    rhs = np.zeros(size + 1)
+    rhs[-1] = 1.0
+    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    if np.any(solution < -_NEGATIVITY_TOLERANCE):
+        raise SolverError(
+            "stationary distribution has negative entries; "
+            "the generator may be reducible or malformed"
+        )
+    solution = np.clip(solution, 0.0, None)
+    total = solution.sum()
+    if total <= 0.0:
+        raise SolverError("stationary distribution sums to zero")
+    return solution / total
+
+
 def _pivot_candidates(matrix: scipy.sparse.csr_matrix) -> list[int]:
     """States worth pinning, most promising first.
 
@@ -266,8 +301,6 @@ def _steady_state_direct(matrix: scipy.sparse.csr_matrix) -> np.ndarray:
         ).observe(float(np.max(np.abs(transposed @ candidate))))
         return candidate
     if size <= 5000:
-        from .ctmc import steady_state_from_generator
-
         registry.counter(
             "repro_direct_dense_fallbacks_total",
             "Direct solves that fell back to the dense eigen-solver.",

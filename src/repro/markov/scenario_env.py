@@ -1,8 +1,11 @@
-"""Markovian environment for heterogeneous server groups with a shared repair crew.
+"""The Markovian environment of ``K`` unreliable server groups and a repair crew.
 
-The paper's environment (:mod:`repro.markov.environment`) tracks one
-homogeneous pool of ``N`` servers.  This module generalises it along the two
-axes of the scenario library:
+Section 3 of the paper models ``N`` servers as a Markovian environment whose
+state records how many servers are in each phase of an operative or
+inoperative period.  The environment is independent of the job queue; it
+modulates the queue only through the operative servers of the current mode.
+This module builds that environment along the two axes of the scenario
+library:
 
 * **heterogeneous server groups** — ``K`` groups, each with its own size and
   its own operative/inoperative period distributions.  A global operational
@@ -12,14 +15,12 @@ axes of the scenario library:
 * **limited repair crew** — at most ``R`` servers can be under repair
   concurrently.  Following the classical machine-repairman construction, the
   repair crew is shared equally among the broken servers, so every
-  inoperative completion rate is scaled by ``min(broken, R) / broken``.  At
-  ``R = N`` (the default) the scaling factor is identically one and the
-  product environment with ``K = 1`` reduces *exactly* to
-  :class:`~repro.markov.environment.BreakdownEnvironment`.
+  inoperative completion rate is scaled by ``min(broken, R) / broken``.
 
-Both the truncated-CTMC scenario solver and the scenario stability condition
-are built on the quantities exposed here (generator, stationary distribution,
-per-group operative counts).
+The paper's homogeneous pool is the ``K = 1, R = N`` case: the crew-sharing
+factor is identically one and the modes enumerate exactly as in the paper's
+worked example.  Every solver of the library — spectral, geometric, the
+truncated CTMC and transient analysis — reads its matrices from here.
 """
 
 from __future__ import annotations
@@ -34,15 +35,31 @@ import numpy as np
 import scipy.sparse
 
 from .._validation import check_positive_int
-from ..distributions import Distribution
+from ..distributions import Distribution, Exponential, HyperExponential
 from ..exceptions import ParameterError
-from .environment import ModeTransition, _as_phase_mixture
 from .partitions import enumerate_modes, num_modes
 
 #: Largest mode count for which the dense ``transition_matrix``/``generator``
 #: accessors will materialise an ``s x s`` array.  Hot paths use the sparse
-#: accessors; the dense ones remain for tests and small environments.
+#: accessors; the dense ones remain for the spectral algebra and small chains.
 DENSE_MODE_LIMIT = 4096
+
+
+def _as_phase_mixture(distribution: Distribution, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Return (weights, rates) of a distribution usable as a period distribution.
+
+    The analytical model requires hyperexponential (or exponential) periods;
+    other distributions are rejected with a clear message — they can still be
+    studied via the simulator.
+    """
+    if isinstance(distribution, HyperExponential):
+        return distribution.weights, distribution.rates
+    if isinstance(distribution, Exponential):
+        return np.array([1.0]), np.array([distribution.rate])
+    raise ParameterError(
+        f"{name} must be Exponential or HyperExponential for the analytical model, "
+        f"got {type(distribution).__name__}; use repro.simulation for general distributions"
+    )
 
 
 @dataclass(frozen=True)
@@ -56,6 +73,69 @@ class _GroupPhases:
     eta: np.ndarray  # inoperative-phase rates
 
 
+@dataclass(frozen=True)
+class _Moves:
+    """One kind of local mode change, one entry per (source mode, phase pair).
+
+    A move takes one of the ``count`` servers in phase ``leave`` of the period
+    being left and starts it in phase ``enter`` of the next period.
+    """
+
+    source: np.ndarray
+    target: np.ndarray
+    count: np.ndarray
+    leave: np.ndarray
+    enter: np.ndarray
+
+    def rates(self, leave_rates: np.ndarray, enter_weights: np.ndarray) -> np.ndarray:
+        """``count * rate(leave) * weight(enter)`` per move (paper Eq. 9)."""
+        return self.count * leave_rates[self.leave] * enter_weights[self.enter]
+
+
+@dataclass(frozen=True)
+class _LocalSpace:
+    """The rate-free structure of one group's local mode space (internal)."""
+
+    num_modes: int
+    operative: np.ndarray  # operative servers per local mode
+    breakdowns: _Moves
+    repairs: _Moves
+
+
+def _shifted(occupancy: tuple[int, ...], phase: int, delta: int) -> tuple[int, ...]:
+    changed = list(occupancy)
+    changed[phase] += delta
+    return tuple(changed)
+
+
+def _local_space(size: int, n: int, m: int) -> _LocalSpace:
+    """The local modes and moves of a group of ``size`` servers.
+
+    Depends only on the group size and the phase counts; the rates are
+    applied by :class:`ScenarioEnvironment`.
+    """
+    modes = enumerate_modes(size, n, m)
+    index = {mode: position for position, mode in enumerate(modes)}
+    breakdowns: list[tuple[int, int, int, int, int]] = []
+    repairs: list[tuple[int, int, int, int, int]] = []
+    for source, (operative, inoperative) in enumerate(modes):
+        for j, k in itertools.product(range(n), range(m)):
+            if operative[j]:
+                target = index[(_shifted(operative, j, -1), _shifted(inoperative, k, +1))]
+                breakdowns.append((source, target, operative[j], j, k))
+        for k, j in itertools.product(range(m), range(n)):
+            if inoperative[k]:
+                target = index[(_shifted(operative, j, +1), _shifted(inoperative, k, -1))]
+                repairs.append((source, target, inoperative[k], k, j))
+
+    def moves(entries: list[tuple[int, int, int, int, int]]) -> _Moves:
+        table = np.array(entries, dtype=np.int64).reshape(-1, 5)
+        return _Moves(table[:, 0], table[:, 1], table[:, 2].astype(float), table[:, 3], table[:, 4])
+
+    operative_counts = np.array([float(sum(operative)) for operative, _ in modes])
+    return _LocalSpace(len(modes), operative_counts, moves(breakdowns), moves(repairs))
+
+
 class ScenarioEnvironment:
     """The Markov-modulating environment of ``K`` server groups and ``R`` repairers.
 
@@ -65,7 +145,7 @@ class ScenarioEnvironment:
         A sequence of ``(size, operative, inoperative)`` triples, one per
         group.  Period distributions must be exponential or hyperexponential
         (the analytical restriction of the paper); general distributions are
-        handled by the scenario simulator instead.
+        handled by the simulator instead.
     repair_capacity:
         The number of servers that can be repaired concurrently, ``R``.
         ``None`` means an unlimited crew (``R = N``), which recovers the
@@ -73,8 +153,8 @@ class ScenarioEnvironment:
 
     Examples
     --------
-    One group with the paper's worked-example parameters reproduces the
-    six-mode homogeneous environment:
+    The paper's worked example with two servers, two operative phases and one
+    (exponential) inoperative phase has six modes:
 
     >>> from repro.distributions import HyperExponential, Exponential
     >>> env = ScenarioEnvironment(
@@ -106,19 +186,13 @@ class ScenarioEnvironment:
             repair_capacity = self._num_servers
         repair_capacity = check_positive_int(repair_capacity, "repair_capacity")
         self._repair_capacity = min(repair_capacity, self._num_servers)
-
-        # Per-group local mode lists and index maps; the global mode space is
-        # their Cartesian product with group 0 varying slowest, so a single
-        # group enumerates exactly like the homogeneous environment.
-        self._local_modes = [
-            enumerate_modes(group.size, group.alpha.size, group.beta.size)
-            for group in self._groups
+        # The global mode space is the Cartesian product of the local ones
+        # with group 0 varying slowest, so a single group enumerates exactly
+        # like the paper's worked example.
+        self._local = [
+            _local_space(group.size, group.alpha.size, group.beta.size) for group in self._groups
         ]
-        self._local_index = [
-            {mode: index for index, mode in enumerate(modes)} for modes in self._local_modes
-        ]
-        self._modes = list(itertools.product(*self._local_modes))
-        self._mode_index = {mode: index for index, mode in enumerate(self._modes)}
+        self._num_modes = math.prod(local.num_modes for local in self._local)
 
     # ------------------------------------------------------------------ #
     # Basic structure
@@ -147,7 +221,7 @@ class ScenarioEnvironment:
     @property
     def num_modes(self) -> int:
         """The number of global modes (product of the per-group mode counts)."""
-        return len(self._modes)
+        return self._num_modes
 
     @property
     def num_product_modes(self) -> int:
@@ -163,6 +237,18 @@ class ScenarioEnvironment:
             total *= int(group.alpha.size + group.beta.size) ** group.size
         return total
 
+    @cached_property
+    def _modes(self) -> list[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+        local_modes = [
+            enumerate_modes(group.size, group.alpha.size, group.beta.size)
+            for group in self._groups
+        ]
+        return list(itertools.product(*local_modes))
+
+    @cached_property
+    def _mode_index(self) -> dict[tuple, int]:
+        return {mode: index for index, mode in enumerate(self._modes)}
+
     @property
     def modes(self) -> list[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
         """The global modes as tuples of per-group ``(X, Y)`` occupancy pairs."""
@@ -175,6 +261,14 @@ class ScenarioEnvironment:
             raise ParameterError(f"no such mode: {key!r}")
         return self._mode_index[key]
 
+    def _strides(self) -> list[tuple[int, int]]:
+        """Per group, the mode counts of the groups before and after it."""
+        sizes = [local.num_modes for local in self._local]
+        return [
+            (math.prod(sizes[:position]), math.prod(sizes[position + 1 :]))
+            for position in range(len(sizes))
+        ]
+
     @cached_property
     def operative_counts_by_group(self) -> np.ndarray:
         """Array of shape ``(num_modes, K)``: operative servers per group and mode.
@@ -183,12 +277,9 @@ class ScenarioEnvironment:
         varies slowest in the global enumeration), not by iterating the
         global product space.
         """
-        sizes = [len(modes) for modes in self._local_modes]
         counts = np.zeros((self.num_modes, len(self._groups)))
-        for position, local_modes in enumerate(self._local_modes):
-            local = np.array([float(sum(operative)) for operative, _ in local_modes])
-            before = math.prod(sizes[:position])
-            after = math.prod(sizes[position + 1 :])
+        for position, (before, after) in enumerate(self._strides()):
+            local = self._local[position].operative
             counts[:, position] = np.tile(np.repeat(local, after), before)
         return counts
 
@@ -201,12 +292,6 @@ class ScenarioEnvironment:
     def broken_counts(self) -> np.ndarray:
         """The total number of inoperative servers in each mode, in mode order."""
         return float(self._num_servers) - self.operative_counts
-
-    def repair_share(self, broken: float) -> float:
-        """The crew-sharing factor ``min(broken, R) / broken`` (1 when nothing is broken)."""
-        if broken <= 0:
-            return 1.0
-        return min(float(broken), float(self._repair_capacity)) / float(broken)
 
     @property
     def operative_weights_by_group(self) -> tuple[np.ndarray, ...]:
@@ -224,168 +309,52 @@ class ScenarioEnvironment:
         return tuple(group.beta.copy() for group in self._groups)
 
     # ------------------------------------------------------------------ #
-    # Transition structure
+    # Transition structure (paper Section 3.1)
     # ------------------------------------------------------------------ #
-
-    def transitions(self) -> list[ModeTransition]:
-        """Enumerate all mode-changing transitions with their rates.
-
-        Breakdowns in group ``g`` move one server from operative phase ``j``
-        to inoperative phase ``k`` at rate ``x_gj xi_gj beta_gk`` (as in the
-        homogeneous environment, per group).  Repairs are additionally scaled
-        by the crew-sharing factor ``min(broken, R) / broken`` of the source
-        mode, so at most ``R`` servers make repair progress concurrently.
-        """
-        result: list[ModeTransition] = []
-        for index, mode in enumerate(self._modes):
-            broken = float(self.broken_counts[index])
-            share = self.repair_share(broken)
-            for position, group in enumerate(self._groups):
-                operative, inoperative = mode[position]
-                for j in range(group.alpha.size):
-                    if operative[j] == 0:
-                        continue
-                    for k in range(group.beta.size):
-                        rate = operative[j] * group.xi[j] * group.beta[k]
-                        if rate == 0.0:
-                            continue
-                        new_operative = list(operative)
-                        new_operative[j] -= 1
-                        new_inoperative = list(inoperative)
-                        new_inoperative[k] += 1
-                        target = self._target_index(
-                            index, position, (tuple(new_operative), tuple(new_inoperative))
-                        )
-                        result.append(
-                            ModeTransition(
-                                source=index, target=target, rate=rate, kind="breakdown"
-                            )
-                        )
-                for k in range(group.beta.size):
-                    if inoperative[k] == 0:
-                        continue
-                    for j in range(group.alpha.size):
-                        rate = inoperative[k] * group.eta[k] * group.alpha[j] * share
-                        if rate == 0.0:
-                            continue
-                        new_operative = list(operative)
-                        new_operative[j] += 1
-                        new_inoperative = list(inoperative)
-                        new_inoperative[k] -= 1
-                        target = self._target_index(
-                            index, position, (tuple(new_operative), tuple(new_inoperative))
-                        )
-                        result.append(
-                            ModeTransition(source=index, target=target, rate=rate, kind="repair")
-                        )
-        return result
-
-    def _target_index(self, source: int, position: int, local_mode: tuple) -> int:
-        """Index of the mode equal to ``source`` with group ``position`` replaced."""
-        mode = list(self._modes[source])
-        mode[position] = local_mode
-        return self._mode_index[tuple(mode)]
-
-    def _local_transition_matrices(
-        self, position: int
-    ) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
-        """One group's local breakdown and *unscaled* repair rate matrices.
-
-        Local matrices live on the group's own mode space (a few dozen to a
-        few hundred states), so the Python loop here is cheap; the global
-        matrix is assembled from them by Kronecker lifting.  Repair rates are
-        returned without the crew-sharing factor, which depends on the global
-        broken count and is applied as a row scaling of the lifted matrix.
-        """
-        group = self._groups[position]
-        modes = self._local_modes[position]
-        index_map = self._local_index[position]
-        rows: list[int] = []
-        cols: list[int] = []
-        breakdown_rates: list[float] = []
-        repair_rows: list[int] = []
-        repair_cols: list[int] = []
-        repair_rates: list[float] = []
-        for source, (operative, inoperative) in enumerate(modes):
-            for j in range(group.alpha.size):
-                if operative[j] == 0:
-                    continue
-                for k in range(group.beta.size):
-                    rate = operative[j] * group.xi[j] * group.beta[k]
-                    if rate == 0.0:
-                        continue
-                    new_operative = list(operative)
-                    new_operative[j] -= 1
-                    new_inoperative = list(inoperative)
-                    new_inoperative[k] += 1
-                    target = index_map[(tuple(new_operative), tuple(new_inoperative))]
-                    rows.append(source)
-                    cols.append(target)
-                    breakdown_rates.append(float(rate))
-            for k in range(group.beta.size):
-                if inoperative[k] == 0:
-                    continue
-                for j in range(group.alpha.size):
-                    rate = inoperative[k] * group.eta[k] * group.alpha[j]
-                    if rate == 0.0:
-                        continue
-                    new_operative = list(operative)
-                    new_operative[j] += 1
-                    new_inoperative = list(inoperative)
-                    new_inoperative[k] -= 1
-                    target = index_map[(tuple(new_operative), tuple(new_inoperative))]
-                    repair_rows.append(source)
-                    repair_cols.append(target)
-                    repair_rates.append(float(rate))
-        size = len(modes)
-        breakdown = scipy.sparse.coo_matrix(
-            (breakdown_rates, (rows, cols)), shape=(size, size)
-        ).tocsr()
-        repair = scipy.sparse.coo_matrix(
-            (repair_rates, (repair_rows, repair_cols)), shape=(size, size)
-        ).tocsr()
-        return breakdown, repair
 
     @cached_property
     def transition_matrix_sparse(self) -> scipy.sparse.csr_matrix:
-        """Sparse matrix of mode-changing transition rates (zero diagonal).
+        """Sparse matrix ``A`` of mode-changing transition rates (zero diagonal).
 
-        Assembled structurally: each group's local breakdown/repair matrix is
-        lifted to the global product space with Kronecker products
-        (``I x B_g x I``), then repairs are row-scaled by the crew-sharing
-        factor ``min(broken, R) / broken`` of the source mode.  No loop over
-        the global mode space is involved, so assembly stays fast for
-        environments far beyond the dense limit.
+        Breakdowns in group ``g`` move one server from operative phase ``j``
+        to inoperative phase ``k`` at rate ``x_gj xi_gj beta_gk``; repairs
+        move one back from phase ``k`` to phase ``j`` at rate
+        ``y_gk eta_gk alpha_gj``, scaled by the crew-sharing factor
+        ``min(broken, R) / broken`` of the source mode.
+
+        Assembled in one pass of index arithmetic: a group's local move
+        ``a -> b`` recurs for every combination of the other groups' local
+        modes, at ``offset + a * after -> offset + b * after`` for each such
+        combination's ``offset``.
         """
-        sizes = [len(modes) for modes in self._local_modes]
-        total = self.num_modes
-        breakdown = scipy.sparse.csr_matrix((total, total))
-        repair = scipy.sparse.csr_matrix((total, total))
-        for position in range(len(self._groups)):
-            local_breakdown, local_repair = self._local_transition_matrices(position)
-            before = math.prod(sizes[:position])
-            after = math.prod(sizes[position + 1 :])
-            for local, accumulate in ((local_breakdown, True), (local_repair, False)):
-                lifted = scipy.sparse.kron(
-                    scipy.sparse.identity(before),
-                    scipy.sparse.kron(local, scipy.sparse.identity(after)),
-                ).tocsr()
-                if accumulate:
-                    breakdown = breakdown + lifted
-                else:
-                    repair = repair + lifted
         broken = self.broken_counts
-        share = np.where(
-            broken > 0.0,
-            np.minimum(broken, float(self._repair_capacity)) / np.maximum(broken, 1.0),
-            1.0,
-        )
-        matrix = breakdown + scipy.sparse.diags(share) @ repair
-        return matrix.tocsr()
+        share = np.minimum(broken, float(self._repair_capacity)) / np.maximum(broken, 1.0)
+        rows: list[np.ndarray] = []
+        cols: list[np.ndarray] = []
+        data: list[np.ndarray] = []
+        for group, local, (before, after) in zip(self._groups, self._local, self._strides()):
+            offsets = (
+                np.arange(before)[:, None] * (local.num_modes * after) + np.arange(after)
+            ).ravel()
+            for moves, rates, is_repair in (
+                (local.breakdowns, local.breakdowns.rates(group.xi, group.beta), False),
+                (local.repairs, local.repairs.rates(group.eta, group.alpha), True),
+            ):
+                keep = rates != 0.0
+                source = (offsets[:, None] + moves.source[keep] * after).ravel()
+                values = np.tile(rates[keep], offsets.size)
+                rows.append(source)
+                cols.append((offsets[:, None] + moves.target[keep] * after).ravel())
+                data.append(values * share[source] if is_repair else values)
+        size = self.num_modes
+        return scipy.sparse.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(size, size),
+        ).tocsr()
 
     @cached_property
     def generator_sparse(self) -> scipy.sparse.csr_matrix:
-        """The environment's own CTMC generator, sparse (the hot-path accessor)."""
+        """The environment's own CTMC generator ``A - D^A``, sparse."""
         matrix = self.transition_matrix_sparse
         diagonal = np.asarray(matrix.sum(axis=1)).ravel()
         return (matrix - scipy.sparse.diags(diagonal)).tocsr()
@@ -400,11 +369,9 @@ class ScenarioEnvironment:
 
     @cached_property
     def transition_matrix(self) -> np.ndarray:
-        """Dense matrix of mode-changing transition rates (small environments).
+        """The dense matrix ``A`` (spectral algebra and small environments).
 
-        Kept for tests and small environments; every hot path uses
-        :attr:`transition_matrix_sparse`.  Environments beyond
-        :data:`DENSE_MODE_LIMIT` modes refuse to densify.
+        Environments beyond :data:`DENSE_MODE_LIMIT` modes refuse to densify.
         """
         self._check_dense_limit("transition_matrix")
         return np.asarray(self.transition_matrix_sparse.todense())
@@ -416,7 +383,7 @@ class ScenarioEnvironment:
         return np.asarray(self.generator_sparse.todense())
 
     # ------------------------------------------------------------------ #
-    # Steady-state quantities
+    # Steady-state quantities (ingredients of paper Eq. 10-11)
     # ------------------------------------------------------------------ #
 
     @cached_property
@@ -424,10 +391,9 @@ class ScenarioEnvironment:
         """The stationary distribution of the environment over its modes.
 
         With a limited repair crew the per-server availability is *not*
-        product-form, so — unlike the homogeneous environment — every
-        steady-state quantity must come from this distribution.  Solved on
-        the sparse generator, so it scales to environments far beyond the
-        dense limit.
+        product-form, so every steady-state quantity comes from this
+        distribution.  Solved on the sparse generator, so it scales to
+        environments far beyond the dense limit.
         """
         from .kernels import steady_state_csr
 
@@ -443,29 +409,41 @@ class ScenarioEnvironment:
         """The long-run fraction of servers that are operative."""
         return self.mean_operative_servers / self._num_servers
 
-    def service_capacities(self, service_rates: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Per-mode full-utilisation service capacity ``sum_g x_g(m) mu_g``."""
+    def _group_rates(self, service_rates: Sequence[float] | np.ndarray) -> np.ndarray:
         rates = np.asarray(service_rates, dtype=float)
         if rates.shape != (self.num_groups,):
             raise ParameterError(
                 f"expected {self.num_groups} per-group service rates, got shape {rates.shape}"
             )
-        return self.operative_counts_by_group @ rates
+        return rates
+
+    def service_capacities(self, service_rates: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Per-mode full-utilisation service capacity ``sum_g x_g(m) mu_g``."""
+        return self.operative_counts_by_group @ self._group_rates(service_rates)
+
+    def capacity_by_level(self, service_rates: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Array ``(N + 1, num_modes)``: the service rate with ``j`` jobs present.
+
+        Under fastest-server-first dispatch the ``j`` jobs occupy the ``j``
+        fastest operative servers, so group ``g`` serves
+        ``clip(j - (operative servers faster than g), 0, x_g)`` of them.  With
+        one group this is the paper's ``C_j = min(x, j) mu``.
+        """
+        rates = self._group_rates(service_rates)
+        counts = self.operative_counts_by_group
+        levels = np.arange(self._num_servers + 1, dtype=float)[:, None]
+        capacity = np.zeros((levels.size, self.num_modes))
+        faster = np.zeros(self.num_modes)
+        for position in np.argsort(-rates, kind="stable"):
+            capacity += np.clip(levels - faster, 0.0, counts[:, position]) * rates[position]
+            faster = faster + counts[:, position]
+        return capacity
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ScenarioEnvironment(groups={self.group_sizes}, "
             f"R={self._repair_capacity}, modes={self.num_modes})"
         )
-
-
-#: Servers within a group are exchangeable — rates depend only on how many
-#: servers occupy each phase, never on which — so the count-based mode space
-#: of :class:`ScenarioEnvironment` is the *lumped* quotient of the per-server
-#: product chain (strong lumpability).  The alias makes the representation
-#: explicit at call sites that contrast it with
-#: :class:`~repro.markov.product_env.ProductScenarioEnvironment`.
-LumpedScenarioEnvironment = ScenarioEnvironment
 
 
 def expected_num_scenario_modes(

@@ -1,4 +1,4 @@
-"""Queueing-model front end, baselines and reference solvers.
+"""Queueing-model front end, the common solution interface and baselines.
 
 Public API
 ----------
@@ -8,21 +8,12 @@ Public API
 * :class:`QueueSolution`, :class:`PerformanceSummary` — the common solution
   interface shared by the exact, approximate, reference and simulated
   solutions.
-* :class:`TruncatedCTMCSolution`, :func:`solve_truncated_ctmc`,
-  :func:`build_truncated_generator`, :func:`default_truncation_level` — the
-  finite-chain validation solver.
 * :func:`erlang_c`, :func:`erlang_b`, :func:`mmc_metrics`,
   :func:`mm1_mean_queue_length`, :func:`mm1_queue_length_pmf`,
   :func:`required_servers_erlang_c`, :class:`MMcMetrics` — reliable-server
   baselines.
 """
 
-from .ctmc_reference import (
-    TruncatedCTMCSolution,
-    build_truncated_generator,
-    default_truncation_level,
-    solve_truncated_ctmc,
-)
 from .erlang import (
     MMcMetrics,
     erlang_b,
@@ -40,10 +31,6 @@ __all__ = [
     "sun_fitted_model",
     "QueueSolution",
     "PerformanceSummary",
-    "TruncatedCTMCSolution",
-    "solve_truncated_ctmc",
-    "build_truncated_generator",
-    "default_truncation_level",
     "MMcMetrics",
     "erlang_c",
     "erlang_b",

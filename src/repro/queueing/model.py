@@ -19,6 +19,12 @@ Eq. 11) and hands the heavy lifting to the solvers:
   used for validation;
 * :meth:`UnreliableQueueModel.simulate` — discrete-event simulation, which
   also accepts non-phase-type period distributions.
+
+The model is the ``K = 1, R = N`` case of :class:`~repro.scenarios.ScenarioModel`:
+its environment is the one-group :class:`~repro.markov.ScenarioEnvironment`,
+and the truncated CTMC, transient analysis and simulation run the scenario
+code on it.  Spectral expansion and the geometric approximation exist for
+this case only.
 """
 
 from __future__ import annotations
@@ -30,13 +36,15 @@ from typing import TYPE_CHECKING
 from .._validation import check_positive, check_positive_int
 from ..distributions import Distribution, Exponential, HyperExponential
 from ..exceptions import UnstableQueueError
-from ..markov import BreakdownEnvironment, expected_num_modes
+from ..markov import ScenarioEnvironment, expected_num_scenario_modes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..simulation.queue_sim import SimulationEstimate
+    import numpy as np
+
+    from ..scenarios.ctmc import ScenarioCTMCSolution
+    from ..simulation.estimators import SimulationEstimate
     from ..spectral.approximation import GeometricSolution
     from ..spectral.solution import SpectralSolution
-    from .ctmc_reference import TruncatedCTMCSolution
 
 
 @dataclass(frozen=True)
@@ -145,16 +153,17 @@ class UnreliableQueueModel:
     @property
     def num_modes(self) -> int:
         """The number of operational modes ``s`` of the Markovian environment (Eq. 12)."""
-        return expected_num_modes(self.num_servers, self.operative, self.inoperative)
+        return expected_num_scenario_modes([(self.num_servers, self.operative, self.inoperative)])
 
     @cached_property
-    def environment(self) -> BreakdownEnvironment:
-        """The Markovian environment induced by the period distributions."""
-        return BreakdownEnvironment(
-            num_servers=self.num_servers,
-            operative=self.operative,
-            inoperative=self.inoperative,
-        )
+    def environment(self) -> ScenarioEnvironment:
+        """The Markovian environment: one group of ``N`` servers, unlimited crew."""
+        return ScenarioEnvironment([(self.num_servers, self.operative, self.inoperative)])
+
+    @cached_property
+    def service_capacity_by_level(self) -> "np.ndarray":
+        """Array ``(N + 1, num_modes)``: ``C_j = min(x, j) mu`` per level and mode."""
+        return self.environment.capacity_by_level((self.service_rate,))
 
     # ------------------------------------------------------------------ #
     # Model surgery helpers used by the experiment harness
@@ -200,18 +209,16 @@ class UnreliableQueueModel:
         self,
         max_queue_length: int | None = None,
         *,
-        warm_start: "TruncatedCTMCSolution | None" = None,
-    ) -> "TruncatedCTMCSolution":
+        warm_start: "ScenarioCTMCSolution | None" = None,
+    ) -> "ScenarioCTMCSolution":
         """Solve a truncated-CTMC reference model (validation baseline).
 
         ``warm_start`` seeds the truncation level and the iterative solver's
         initial iterate from a nearby model's solution (parameter sweeps).
         """
-        from .ctmc_reference import solve_truncated_ctmc
+        from ..scenarios.ctmc import solve_scenario_ctmc
 
-        return solve_truncated_ctmc(
-            self, max_queue_length=max_queue_length, warm_start=warm_start
-        )
+        return solve_scenario_ctmc(self, max_queue_length, warm_start=warm_start)
 
     def simulate(
         self,
@@ -227,7 +234,7 @@ class UnreliableQueueModel:
         distributions (the paper uses simulation for the deterministic
         ``C^2 = 0`` point of Figure 6).
         """
-        from ..simulation.queue_sim import simulate_queue
+        from ..simulation.scenario_sim import simulate_queue
 
         return simulate_queue(
             self,

@@ -9,7 +9,9 @@ package opens the model up to the workloads real clusters run:
   ``K = 1, R = N`` recovers the paper's model exactly.
 * :func:`solve_scenario_ctmc` / :class:`ScenarioCTMCSolution` — the
   truncated-CTMC reference solver over the product mode space with
-  level-dependent (fastest-server-first) service capacities.
+  level-dependent (fastest-server-first) service capacities.  It also solves
+  the paper's :class:`~repro.queueing.UnreliableQueueModel`, the ``K = 1,
+  R = N`` scenario.
 * :data:`SCENARIO_PRESETS`, :func:`scenario_preset`, :func:`preset_names` —
   named, documented presets (``two-speed-cluster``, ``single-repairman``,
   ``legacy-homogeneous``, ...) shared by the CLI, the examples, the
@@ -22,12 +24,7 @@ fallback chains skip past them), and sweeps can grid over group parameters
 and the crew size (see :mod:`repro.sweeps`).
 """
 
-from .ctmc import (
-    REPRESENTATIONS,
-    ScenarioCTMCSolution,
-    resolve_representation,
-    solve_scenario_ctmc,
-)
+from .ctmc import ScenarioCTMCSolution, solve_scenario_ctmc
 from .model import ScenarioModel, ServerGroup
 from .presets import (
     SCENARIO_PRESETS,
@@ -38,7 +35,6 @@ from .presets import (
 )
 
 __all__ = [
-    "REPRESENTATIONS",
     "SCENARIO_PRESETS",
     "ScenarioCTMCSolution",
     "ScenarioModel",
@@ -46,7 +42,6 @@ __all__ = [
     "ServerGroup",
     "preset_description",
     "preset_names",
-    "resolve_representation",
     "scenario_preset",
     "solve_scenario_ctmc",
 ]

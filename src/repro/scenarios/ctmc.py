@@ -1,42 +1,52 @@
-"""Truncated-CTMC reference solution for scenario models.
+"""Truncated-CTMC reference solution for scenario models and the paper's pool.
 
-This is the scenario counterpart of :mod:`repro.queueing.ctmc_reference`: the
-queue is truncated at a large level ``J`` and the global balance equations of
-the finite chain over ``(queue length, global mode)`` pairs are solved with
-sparse linear algebra.  Two things differ from the homogeneous solver:
+The spectral expansion handles the infinite queue exactly.  As an independent
+check, this module solves the same Markov process on a *finite* state space:
+the queue is truncated at a large level ``J`` and the global balance
+equations of the chain over ``(queue length, mode)`` pairs are solved with
+sparse linear algebra.  One chain serves both model classes — the paper's
+:class:`~repro.queueing.model.UnreliableQueueModel` is the ``K = 1, R = N``
+scenario.  The service-completion rate of a state is level- and
+mode-dependent: with ``j`` jobs present the fastest-server-first discipline
+puts them on the ``j`` fastest operative servers
+(:attr:`~repro.scenarios.model.ScenarioModel.service_capacity_by_level`).
 
-* the service-completion rate of a state is *level- and mode-dependent*: with
-  ``j`` jobs present the fastest-server-first discipline puts them on the
-  ``j`` fastest operative servers, so the departure rate is the sum of those
-  servers' rates (:attr:`~repro.scenarios.model.ScenarioModel.service_capacity_by_level`);
-* no spectral decay rate is available to size the truncation, so the level is
-  seeded from the effective load and refined by the same adaptive
-  boundary-mass loop the homogeneous solver uses (the heuristic may
-  underestimate the true decay rate, the loop is what guarantees the target
-  tail mass).
+The truncation level is seeded from the asymptotic decay rate of the
+queue-length tail, ``J = N + log(eps) / log(z)``:
 
-For a degenerate scenario (``K = 1``, ``R = N``) the generator coincides with
-the homogeneous one, so this solver agrees with the spectral expansion to
-solver precision — the pinned equivalence tests rely on it.
+* for the homogeneous pool (an :class:`UnreliableQueueModel`, or a scenario
+  whose :meth:`~repro.scenarios.model.ScenarioModel.as_homogeneous`
+  succeeds) ``z`` is the dominant eigenvalue ``z_s`` of the spectral
+  expansion — the exact tail decay rate;
+* for every other scenario no spectral decay rate exists and ``z`` is the
+  effective load, a heuristic rather than a bound (with slow repairs the
+  true decay rate can exceed it substantially).
+
+Either way :func:`solve_scenario_ctmc` checks the realised boundary mass and
+re-solves with a doubled level until the ~1e-10 target is met or the hard
+cap is reached; every re-solve counts in
+``repro_ctmc_truncation_growths_total``.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse
 
 from .._validation import check_positive_int
-from ..exceptions import ParameterError, SolverError
-from ..markov import (
-    LevelModeStructure,
-    ProductScenarioEnvironment,
-    assemble_level_mode_generator,
-    steady_state_csr,
-)
+from ..exceptions import ParameterError, ReproError, SolverError
+from ..markov import LevelModeStructure, assemble_level_mode_generator, steady_state_csr
+from ..obs.metrics import numerics_registry
+from ..queueing.model import UnreliableQueueModel
 from ..queueing.solution_base import QueueSolution
-from .model import ScenarioModel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .model import ScenarioModel
+
+    ChainModel = UnreliableQueueModel | ScenarioModel
 
 #: Target truncation tail mass used when choosing the truncation level.
 _DEFAULT_TAIL_MASS = 1e-10
@@ -45,76 +55,65 @@ _DEFAULT_TAIL_MASS = 1e-10
 _MIN_EXTRA_LEVELS = 100
 _MAX_EXTRA_LEVELS = 40_000
 
-#: The chain representations a scenario solve accepts.
-REPRESENTATIONS = ("auto", "lumped", "product")
 
+def _tail_decay_rate(model: "ChainModel") -> float:
+    """The queue-length decay rate used to size the truncation.
 
-def resolve_representation(representation: str) -> str:
-    """Validate a representation name and resolve ``"auto"``.
-
-    ``"auto"`` always selects the lumped (count-based) representation: it is
-    law-equivalent to the product chain and combinatorially smaller, so there
-    is never a correctness reason to prefer product space — it exists for
-    verification and debugging.
+    The dominant eigenvalue ``z_s`` of the characteristic polynomial when the
+    chain is the homogeneous pool and the robust spectral-abscissa root
+    finder succeeds; the effective load otherwise (non-Markovian periods,
+    critically loaded or ill-conditioned pools, and every other scenario).
     """
-    if representation not in REPRESENTATIONS:
-        raise ParameterError(
-            f"unknown representation {representation!r}; "
-            f"expected one of {', '.join(REPRESENTATIONS)}"
+    if isinstance(model, UnreliableQueueModel):
+        pool = model
+    else:
+        try:
+            pool = model.as_homogeneous()
+        except ParameterError:
+            return model.effective_load
+    try:
+        from ..spectral.approximation import decay_rate_bisection
+        from ..spectral.qbd import ModulatedQueueMatrices
+
+        # A K = 1, R = N scenario has the pool's environment: reuse it.
+        matrices = ModulatedQueueMatrices(
+            environment=model.environment,
+            arrival_rate=pool.arrival_rate,
+            service_rate=pool.service_rate,
         )
-    return "lumped" if representation == "auto" else representation
+        return decay_rate_bisection(matrices)
+    except ReproError:
+        return model.effective_load
 
 
-def default_truncation_level(scenario: ScenarioModel) -> int:
-    """A starting truncation level seeded from the effective load.
-
-    The effective load is a heuristic for the queue-length decay rate, not a
-    bound; :func:`solve_scenario_ctmc` doubles the level until the realised
-    boundary mass meets the ~1e-10 target.
-    """
-    decay = min(scenario.effective_load, 0.999999)
+def default_truncation_level(model: "ChainModel") -> int:
+    """A truncation level that keeps the neglected tail mass below ~1e-10."""
+    decay = min(_tail_decay_rate(model), 0.999999)
     if decay <= 0.0:
         extra = _MIN_EXTRA_LEVELS
     else:
         extra = int(math.ceil(math.log(_DEFAULT_TAIL_MASS) / math.log(decay)))
         extra = min(max(extra, _MIN_EXTRA_LEVELS), _MAX_EXTRA_LEVELS)
-    return scenario.num_servers + extra
+    return model.num_servers + extra
 
 
 class ScenarioCTMCSolution(QueueSolution):
-    """Steady-state solution of the truncated scenario chain.
+    """Steady-state solution of the truncated chain.
 
-    ``probabilities`` is always over the **lumped** modes (product-space
-    solves are aggregated through the lumping map before wrapping), so every
-    downstream consumer sees one representation; :attr:`representation` and
-    :attr:`num_solved_states` record how the chain was actually solved.
+    :attr:`truncation_level` and :meth:`truncation_mass` report how
+    aggressive the truncation was; :attr:`num_solved_states` is the size of
+    the chain that was solved.
     """
 
-    def __init__(
-        self,
-        scenario: ScenarioModel,
-        probabilities: np.ndarray,
-        *,
-        representation: str = "lumped",
-        num_solved_states: int | None = None,
-    ) -> None:
-        self._scenario = scenario
+    def __init__(self, model: "ChainModel", probabilities: np.ndarray) -> None:
+        self._model = model
         self._probabilities = probabilities  # shape (levels, modes)
         self._level_totals = probabilities.sum(axis=1)
-        self._representation = representation
-        if num_solved_states is None:
-            num_solved_states = int(probabilities.size)
-        self._num_solved_states = num_solved_states
-
-    @property
-    def representation(self) -> str:
-        """Which chain representation was solved (``"lumped"`` or ``"product"``)."""
-        return self._representation
 
     @property
     def num_solved_states(self) -> int:
-        """The state-space size of the chain that was actually solved."""
-        return self._num_solved_states
+        """The state-space size of the chain that was solved."""
+        return int(self._probabilities.size)
 
     @property
     def probabilities_by_level(self) -> np.ndarray:
@@ -122,22 +121,17 @@ class ScenarioCTMCSolution(QueueSolution):
         return self._probabilities.copy()
 
     @property
-    def scenario(self) -> ScenarioModel:
-        """The scenario that was solved."""
-        return self._scenario
-
-    @property
-    def model(self) -> ScenarioModel:
-        """Alias of :attr:`scenario` (mirrors the homogeneous solution API)."""
-        return self._scenario
+    def model(self) -> "ChainModel":
+        """The model that was solved."""
+        return self._model
 
     @property
     def arrival_rate(self) -> float:
-        return self._scenario.arrival_rate
+        return self._model.arrival_rate
 
     @property
     def num_servers(self) -> int:
-        return self._scenario.num_servers
+        return self._model.num_servers
 
     @property
     def truncation_level(self) -> int:
@@ -145,7 +139,11 @@ class ScenarioCTMCSolution(QueueSolution):
         return int(self._probabilities.shape[0] - 1)
 
     def truncation_mass(self) -> float:
-        """The probability mass at the truncation boundary (diagnostic)."""
+        """The probability mass at the truncation boundary (diagnostic).
+
+        A well-chosen truncation level makes this negligible; validation
+        tests assert it is tiny before comparing against the exact solution.
+        """
         return float(self._level_totals[-1])
 
     def level_vector(self, num_jobs: int) -> np.ndarray:
@@ -171,7 +169,7 @@ class ScenarioCTMCSolution(QueueSolution):
     @property
     def mean_busy_servers(self) -> float:
         """Exact mean number of busy servers under the truncated chain."""
-        counts = self._scenario.environment.operative_counts
+        counts = self._model.environment.operative_counts
         total = 0.0
         for level in range(self._probabilities.shape[0]):
             busy = np.minimum(counts, float(level))
@@ -194,10 +192,10 @@ class ScenarioCTMCSolution(QueueSolution):
     @property
     def throughput(self) -> float:
         """Mean service-completion rate ``E[c(j, m)]`` (equals ``lambda`` up to truncation)."""
-        capacities = self._scenario.service_capacity_by_level
+        capacities = self._model.service_capacity_by_level
         total = 0.0
         for level in range(self._probabilities.shape[0]):
-            rates = capacities[min(level, self._scenario.num_servers)]
+            rates = capacities[min(level, self._model.num_servers)]
             total += float(self._probabilities[level] @ rates)
         return total
 
@@ -208,35 +206,28 @@ class ScenarioCTMCSolution(QueueSolution):
         )
 
 
-def _departure_rates(scenario: ScenarioModel, num_levels: int) -> np.ndarray:
-    """Array ``(num_levels, modes)``: level- and mode-dependent departure rates."""
-    capacities = scenario.service_capacity_by_level
-    level_index = np.minimum(np.arange(num_levels), scenario.num_servers)
-    return np.asarray(capacities[level_index], dtype=float)
-
-
 def build_truncated_generator(
-    scenario: ScenarioModel, max_queue_length: int
+    model: "ChainModel", max_queue_length: int
 ) -> scipy.sparse.csr_matrix:
-    """Build the sparse generator of the truncated scenario chain.
+    """Build the sparse generator of the truncated chain.
 
     States are ordered level-major: state ``(mode i, level j)`` has index
-    ``j * s + i``.  Arrivals at the truncation boundary are dropped (the usual
-    finite-buffer truncation).  Assembly is fully vectorised through the
-    shared kernel layer (:mod:`repro.markov.kernels`).
+    ``j * s + i``.  Arrivals at the truncation boundary are dropped, which is
+    the usual finite-buffer truncation and biases the solution optimistically
+    by a negligible amount when the boundary mass is tiny.
     """
     max_queue_length = check_positive_int(max_queue_length, "max_queue_length")
-    environment = scenario.environment
+    level_index = np.minimum(np.arange(max_queue_length + 1), model.num_servers)
     return assemble_level_mode_generator(
-        environment.transition_matrix_sparse,
-        scenario.arrival_rate,
-        _departure_rates(scenario, max_queue_length + 1),
+        model.environment.transition_matrix_sparse,
+        model.arrival_rate,
+        model.service_capacity_by_level[level_index],
     )
 
 
-def chain_structure(scenario: ScenarioModel, max_queue_length: int) -> LevelModeStructure:
-    """The level x mode structure of the scenario's truncated chain."""
-    environment = scenario.environment
+def chain_structure(model: "ChainModel", max_queue_length: int) -> LevelModeStructure:
+    """The level x mode structure of the model's truncated chain."""
+    environment = model.environment
     return LevelModeStructure(
         num_levels=max_queue_length + 1,
         num_modes=environment.num_modes,
@@ -245,55 +236,53 @@ def chain_structure(scenario: ScenarioModel, max_queue_length: int) -> LevelMode
 
 
 def solve_scenario_ctmc(
-    scenario: ScenarioModel,
+    model: "ChainModel",
     max_queue_length: int | None = None,
     *,
-    representation: str = "auto",
     warm_start: ScenarioCTMCSolution | None = None,
 ) -> ScenarioCTMCSolution:
-    """Solve the truncated scenario chain adaptively.
+    """Solve the truncated chain of a scenario or homogeneous model.
 
     Parameters
     ----------
-    scenario:
-        The scenario to evaluate (must be stable).
+    model:
+        The model to evaluate (must be stable; otherwise the truncated
+        solution would silently misrepresent an unstable system).
     max_queue_length:
-        The truncation level ``J``.  When omitted it is seeded from the
-        effective load and doubled until the realised boundary mass meets the
-        ~1e-10 target (up to a hard cap).  An explicit level is used as
-        given, with no adaptation.
-    representation:
-        ``"auto"``/``"lumped"`` solve the count-based chain; ``"product"``
-        solves the per-server-labelled chain (small scenarios only) and
-        aggregates the answer through the lumping map — the two are
-        law-equivalent, so this is a verification/debugging tool.
+        The truncation level ``J``.  When omitted it is seeded by
+        :func:`default_truncation_level` and doubled until the realised
+        boundary mass meets the ~1e-10 target (up to a hard cap).  An
+        explicit level is used as given, with no adaptation.
     warm_start:
-        A previously computed solution of a *nearby* scenario.  Its
-        truncation level seeds the level search and its probabilities seed
-        the iterative solver's initial iterate (sweep engines pass the
-        nearest solved grid neighbour here).
+        A previously computed solution of a *nearby* model.  Its truncation
+        level seeds the level search and its probabilities seed the iterative
+        solver's initial iterate (sweep engines pass the nearest solved grid
+        neighbour here).
     """
-    scenario.require_stable()
-    representation = resolve_representation(representation)
+    model.require_stable()
     if max_queue_length is not None:
-        if max_queue_length <= scenario.num_servers:
+        if max_queue_length <= model.num_servers:
             raise SolverError(
                 "max_queue_length must exceed the number of servers "
-                f"({max_queue_length} <= {scenario.num_servers})"
+                f"({max_queue_length} <= {model.num_servers})"
             )
-        return _solve_at_level(scenario, max_queue_length, representation, warm_start)
+        return _solve_at_level(model, max_queue_length, warm_start)
 
-    level = default_truncation_level(scenario)
+    level = default_truncation_level(model)
     if warm_start is not None:
-        level = max(warm_start.truncation_level, scenario.num_servers + 1)
-    solution = _solve_at_level(scenario, level, representation, warm_start)
+        level = max(warm_start.truncation_level, model.num_servers + 1)
+    solution = _solve_at_level(model, level, warm_start)
     while (
         solution.truncation_mass() > _DEFAULT_TAIL_MASS
-        and level - scenario.num_servers < _MAX_EXTRA_LEVELS
+        and level - model.num_servers < _MAX_EXTRA_LEVELS
     ):
-        extra = min(2 * (level - scenario.num_servers), _MAX_EXTRA_LEVELS)
-        level = scenario.num_servers + extra
-        solution = _solve_at_level(scenario, level, representation, warm_start)
+        extra = min(2 * (level - model.num_servers), _MAX_EXTRA_LEVELS)
+        level = model.num_servers + extra
+        numerics_registry().counter(
+            "repro_ctmc_truncation_growths_total",
+            "Adaptive re-solves after the boundary mass exceeded its target.",
+        ).inc()
+        solution = _solve_at_level(model, level, warm_start)
     return solution
 
 
@@ -313,74 +302,14 @@ def _warm_start_vector(
 
 
 def _solve_at_level(
-    scenario: ScenarioModel,
+    model: "ChainModel",
     max_queue_length: int,
-    representation: str,
     warm_start: ScenarioCTMCSolution | None = None,
 ) -> ScenarioCTMCSolution:
     """Solve the truncated chain at one fixed truncation level."""
-    if representation == "product":
-        return _solve_product_at_level(scenario, max_queue_length)
-    generator = build_truncated_generator(scenario, max_queue_length)
-    structure = chain_structure(scenario, max_queue_length)
+    generator = build_truncated_generator(model, max_queue_length)
+    structure = chain_structure(model, max_queue_length)
     x0 = _warm_start_vector(warm_start, max_queue_length + 1, structure.num_modes)
     stationary = steady_state_csr(generator, structure=structure, x0=x0)
-    probabilities = stationary.reshape(max_queue_length + 1, scenario.environment.num_modes)
-    return ScenarioCTMCSolution(
-        scenario=scenario,
-        probabilities=probabilities,
-        representation="lumped",
-        num_solved_states=generator.shape[0],
-    )
-
-
-def product_environment(scenario: ScenarioModel) -> ProductScenarioEnvironment:
-    """The per-server-labelled environment of a scenario (size-guarded)."""
-    return ProductScenarioEnvironment(
-        groups=[(group.size, group.operative, group.inoperative) for group in scenario.groups],
-        repair_capacity=scenario.effective_repair_capacity,
-    )
-
-
-def build_truncated_generator_product(
-    scenario: ScenarioModel,
-    max_queue_length: int,
-    environment: ProductScenarioEnvironment | None = None,
-) -> scipy.sparse.csr_matrix:
-    """The truncated generator over ``(level, per-server state)`` pairs.
-
-    The departure rate of a product state is that of its lumped mode (service
-    capacity depends only on the operative counts), so the lumped capacity
-    table is indexed through the lumping map rather than recomputed.
-    """
-    max_queue_length = check_positive_int(max_queue_length, "max_queue_length")
-    if environment is None:
-        environment = product_environment(scenario)
-    departures = _departure_rates(scenario, max_queue_length + 1)[:, environment.lumping_map]
-    return assemble_level_mode_generator(
-        environment.transition_matrix_sparse,
-        scenario.arrival_rate,
-        departures,
-    )
-
-
-def _solve_product_at_level(
-    scenario: ScenarioModel, max_queue_length: int
-) -> ScenarioCTMCSolution:
-    """Solve the product-space chain and aggregate onto the lumped modes."""
-    environment = product_environment(scenario)
-    generator = build_truncated_generator_product(scenario, max_queue_length, environment)
-    structure = LevelModeStructure(
-        num_levels=max_queue_length + 1,
-        num_modes=environment.num_states,
-        mode_generator=environment.generator_sparse,
-    )
-    stationary = steady_state_csr(generator, structure=structure)
-    per_state = stationary.reshape(max_queue_length + 1, environment.num_states)
-    probabilities = environment.lump_distribution(per_state)
-    return ScenarioCTMCSolution(
-        scenario=scenario,
-        probabilities=probabilities,
-        representation="product",
-        num_solved_states=generator.shape[0],
-    )
+    probabilities = stationary.reshape(max_queue_length + 1, structure.num_modes)
+    return ScenarioCTMCSolution(model, probabilities)

@@ -13,6 +13,9 @@ staying a Markov-modulated M/M/N-type system:
   (inoperative completion rates scale with ``min(broken, R)``); ``R = N``
   recovers the paper's unlimited-crew model exactly.
 
+The paper's model is the ``K = 1, R = N`` case, and the truncated CTMC,
+transient analysis and simulation run one implementation for both classes.
+
 Jobs still arrive in one Poisson stream to one unbounded FIFO queue, service
 is exponential, and an interrupted job resumes from the point of interruption
 (preemptive resume).  With several service speeds the dispatch discipline
@@ -24,7 +27,7 @@ Solvable by the scenario-aware backends: :meth:`ScenarioModel.solve_ctmc`
 (truncated-CTMC, the reference) and :meth:`ScenarioModel.simulate`
 (discrete-event).  The spectral and geometric solvers of the homogeneous
 model raise :class:`~repro.exceptions.UnsupportedScenarioError` for
-scenarios; degenerate single-group scenarios can be converted with
+scenarios; ``K = 1, R = N`` scenarios can be converted with
 :meth:`ScenarioModel.as_homogeneous` when the exact spectral solution is
 wanted.
 """
@@ -45,7 +48,7 @@ from ..queueing.model import UnreliableQueueModel
 from ..solvers.cache import distribution_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..simulation.queue_sim import SimulationEstimate
+    from ..simulation.estimators import SimulationEstimate
     from .ctmc import ScenarioCTMCSolution
 
 
@@ -289,21 +292,7 @@ class ScenarioModel:
         ``j <= N`` sums the ``j`` largest operative per-server rates of each
         mode; above ``N`` the capacity saturates at :attr:`capacity_vector`.
         """
-        environment = self.environment
-        counts = environment.operative_counts_by_group  # (modes, K)
-        order = np.argsort(-np.asarray(self.service_rates, dtype=float), kind="stable")
-        levels = np.zeros((self.num_servers + 1, environment.num_modes))
-        for mode in range(environment.num_modes):
-            rates: list[float] = []
-            for position in order:
-                rates.extend([self.groups[position].service_rate] * int(counts[mode, position]))
-            cumulative = np.cumsum(rates) if rates else np.array([])
-            for level in range(1, self.num_servers + 1):
-                if cumulative.size == 0:
-                    levels[level, mode] = 0.0
-                else:
-                    levels[level, mode] = cumulative[min(level, cumulative.size) - 1]
-        return levels
+        return self.environment.capacity_by_level(self.service_rates)
 
     # ------------------------------------------------------------------ #
     # Model surgery helpers (sweep axes build on these)
@@ -411,24 +400,15 @@ class ScenarioModel:
         self,
         max_queue_length: int | None = None,
         *,
-        representation: str = "auto",
         warm_start: "ScenarioCTMCSolution | None" = None,
     ) -> "ScenarioCTMCSolution":
         """Solve the scenario's truncated-CTMC reference model.
 
-        ``representation`` selects the chain actually solved: the lumped
-        count-based one (``"auto"``/``"lumped"``) or the per-server product
-        one (``"product"``, small scenarios only — a verification tool).
         ``warm_start`` seeds the solve from a nearby scenario's solution.
         """
         from .ctmc import solve_scenario_ctmc
 
-        return solve_scenario_ctmc(
-            self,
-            max_queue_length=max_queue_length,
-            representation=representation,
-            warm_start=warm_start,
-        )
+        return solve_scenario_ctmc(self, max_queue_length, warm_start=warm_start)
 
     def simulate(
         self,

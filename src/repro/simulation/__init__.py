@@ -3,13 +3,14 @@
 Public API
 ----------
 
-* :class:`UnreliableQueueSimulator` — the event-driven simulator (arbitrary
-  period/service distributions, preemptive-resume breakdowns).
-* :func:`simulate_queue`, :class:`SimulationEstimate` — one-call estimation of
-  the headline metrics with batch-means confidence intervals.
-* :class:`ScenarioSimulator`, :func:`simulate_scenario` — the scenario-model
-  simulator: per-group service rates (fastest-server-first dispatch with
-  migration) and repair-slot contention for limited repair crews.
+* :class:`ScenarioSimulator` — the event-driven simulator (arbitrary period
+  distributions, preemptive-resume breakdowns, per-group service rates with
+  fastest-server-first dispatch and migration, repair-slot contention for
+  limited repair crews).
+* :func:`simulate_scenario`, :func:`simulate_queue`,
+  :class:`SimulationEstimate` — one-call estimation of the headline metrics
+  with batch-means confidence intervals, for scenarios and for the paper's
+  model (its ``K = 1, R = N`` scenario).
 * :class:`EventScheduler`, :class:`EventHandle` — the underlying simulation
   engine (reusable for extension studies).
 * :class:`TimeWeightedAccumulator`, :func:`batch_means_interval`,
@@ -17,9 +18,13 @@ Public API
 """
 
 from .engine import EventHandle, EventScheduler
-from .estimators import ConfidenceInterval, TimeWeightedAccumulator, batch_means_interval
-from .queue_sim import SimulationEstimate, UnreliableQueueSimulator, simulate_queue
-from .scenario_sim import ScenarioSimulator, simulate_scenario
+from .estimators import (
+    ConfidenceInterval,
+    SimulationEstimate,
+    TimeWeightedAccumulator,
+    batch_means_interval,
+)
+from .scenario_sim import ScenarioSimulator, simulate_queue, simulate_scenario
 
 __all__ = [
     "EventScheduler",
@@ -27,7 +32,6 @@ __all__ = [
     "TimeWeightedAccumulator",
     "batch_means_interval",
     "ConfidenceInterval",
-    "UnreliableQueueSimulator",
     "simulate_queue",
     "SimulationEstimate",
     "ScenarioSimulator",

@@ -4,7 +4,7 @@ The engine is deliberately minimal: a simulation clock, a priority queue of
 time-stamped events with stable FIFO tie-breaking, and support for cancelling
 events that have become obsolete (for example the service completion of a job
 whose server just broke down).  The queueing simulator in
-:mod:`repro.simulation.queue_sim` is built on top of it; keeping the engine
+:mod:`repro.simulation.scenario_sim` is built on top of it; keeping the engine
 generic also makes it reusable for the extension studies in the examples.
 """
 

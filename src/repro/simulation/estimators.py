@@ -58,6 +58,35 @@ class ConfidenceInterval:
         return f"{self.estimate:.4f} ± {self.half_width:.4f} ({int(self.confidence * 100)}%)"
 
 
+@dataclass(frozen=True)
+class SimulationEstimate:
+    """Point estimates (with confidence intervals) from one simulation run.
+
+    Attributes
+    ----------
+    mean_queue_length:
+        Time-average number of jobs in the system with a batch-means
+        confidence interval.
+    mean_response_time:
+        Average response time of jobs completed after the warm-up period.
+    utilisation:
+        Time-average number of busy servers divided by ``N``.
+    num_completed_jobs:
+        Number of jobs that completed service after the warm-up period.
+    horizon:
+        Total simulated time (including warm-up).
+    warmup_time:
+        Length of the discarded warm-up period.
+    """
+
+    mean_queue_length: ConfidenceInterval
+    mean_response_time: ConfidenceInterval
+    utilisation: float
+    num_completed_jobs: int
+    horizon: float
+    warmup_time: float
+
+
 def batch_means_interval(
     batch_values: np.ndarray, *, confidence: float = 0.95
 ) -> ConfidenceInterval:

@@ -1,8 +1,19 @@
-"""Discrete-event simulation of scenario models (groups + limited repair crew).
+"""Discrete-event simulation of the unreliable multi-server queue.
 
-The scenario simulator generalises :mod:`repro.simulation.queue_sim` to the
-:class:`~repro.scenarios.ScenarioModel` assumptions while remaining exactly
-equivalent in law to the scenario CTMC for phase-type periods:
+The simulator reproduces the modelling assumptions of Section 3 of the paper
+without the Markovian restriction on the period distributions: jobs arrive
+in a Poisson stream and wait in one unbounded FIFO queue, each server
+alternates between operative and inoperative periods drawn independently
+from arbitrary distributions, an operative server is never idle while jobs
+wait, and a job whose service is interrupted by a breakdown returns to the
+*front* of the queue and later resumes from the point of interruption.  The
+paper uses simulation for the deterministic (``C^2 = 0``) operative-period
+point of Figure 6.
+
+It simulates :class:`~repro.scenarios.ScenarioModel` systems, and with them
+the paper's :class:`~repro.queueing.model.UnreliableQueueModel` as its
+``K = 1, R = N`` scenario (:func:`simulate_queue`), while remaining exactly
+equivalent in law to the truncated CTMC for phase-type periods:
 
 * **per-group service rates** — a job carries its remaining service *work*
   (a unit-mean exponential requirement) and a server of group ``g`` consumes
@@ -21,8 +32,8 @@ equivalent in law to the scenario CTMC for phase-type periods:
   in the CTMC generator.  When the broken count changes, pending repair
   completions are rescheduled to the new speed.
 
-With one group and an unlimited crew the dynamics reduce to the homogeneous
-simulator's (no migrations, unit repair speed).
+When every server has the same speed no migration can help, so the
+migration scan is skipped; with an unlimited crew repairs run at unit speed.
 """
 
 from __future__ import annotations
@@ -36,10 +47,10 @@ import numpy as np
 from .._validation import check_positive, check_positive_int
 from ..exceptions import SimulationError
 from .engine import EventHandle, EventScheduler
-from .estimators import TimeWeightedAccumulator, batch_means_interval
-from .queue_sim import SimulationEstimate
+from .estimators import SimulationEstimate, TimeWeightedAccumulator, batch_means_interval
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..queueing.model import UnreliableQueueModel
     from ..scenarios import ScenarioModel
 
 
@@ -81,8 +92,8 @@ class ScenarioSimulator:
     Notes
     -----
     Dispatch and migration scan the server list, which is ``O(N)`` per event;
-    scenario systems are small (tens of servers), so simplicity wins over the
-    homogeneous simulator's heap bookkeeping here.
+    the systems are small (tens of servers), so simplicity wins over heap
+    bookkeeping here.
     """
 
     def __init__(self, scenario: "ScenarioModel", *, seed: int = 0) -> None:
@@ -100,6 +111,7 @@ class ScenarioSimulator:
                 )
         self._repair_capacity = scenario.effective_repair_capacity
         self._limited_crew = self._repair_capacity < len(self._servers)
+        self._single_speed = len({server.rate for server in self._servers}) == 1
         self._broken_ids: set[int] = set()
         self._repair_share = 1.0
         self._next_job_id = 0
@@ -340,12 +352,12 @@ class ScenarioSimulator:
         """Migrate jobs so they occupy the fastest operative servers.
 
         Only relevant when the queue is empty (work conservation otherwise
-        keeps every operative server busy).  Migration preserves the job's
-        remaining work; the exponential requirement makes it statistically
-        invisible, and it is what aligns the simulator with the CTMC's
-        fastest-server-first service capacity.
+        keeps every operative server busy) and the servers differ in speed.
+        Migration preserves the job's remaining work; the exponential
+        requirement makes it statistically invisible, and it is what aligns
+        the simulator with the CTMC's fastest-server-first service capacity.
         """
-        if self._queue:
+        if self._queue or self._single_speed:
             return
         while True:
             idle = self._fastest_idle_operative()
@@ -387,10 +399,21 @@ def simulate_scenario(
 ) -> SimulationEstimate:
     """Simulate a :class:`~repro.scenarios.ScenarioModel`.
 
-    Parameters mirror :func:`repro.simulation.queue_sim.simulate_queue`; the
-    returned :class:`SimulationEstimate` uses the same batch-means output
-    analysis, so scenario estimates are directly comparable to homogeneous
-    ones.
+    Parameters
+    ----------
+    scenario:
+        The scenario to simulate (period distributions may be any
+        :class:`~repro.distributions.Distribution`).
+    horizon:
+        Total simulated time, including warm-up.
+    warmup_fraction:
+        Fraction of the horizon discarded before statistics are collected.
+    num_batches:
+        Number of batches for the batch-means confidence intervals.
+    seed:
+        Random seed.
+    confidence:
+        Confidence level for the intervals.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise SimulationError("warmup_fraction must lie in [0, 1)")
@@ -438,4 +461,30 @@ def simulate_scenario(
         num_completed_jobs=len(completions),
         horizon=horizon,
         warmup_time=warmup_time,
+    )
+
+
+def simulate_queue(
+    model: "UnreliableQueueModel",
+    *,
+    horizon: float,
+    warmup_fraction: float = 0.1,
+    num_batches: int = 10,
+    seed: int = 0,
+    confidence: float = 0.95,
+) -> SimulationEstimate:
+    """Simulate an :class:`~repro.queueing.model.UnreliableQueueModel`.
+
+    The model runs as its ``K = 1, R = N`` scenario; parameters are those of
+    :func:`simulate_scenario`.
+    """
+    from ..scenarios.model import ScenarioModel
+
+    return simulate_scenario(
+        ScenarioModel.from_homogeneous(model),
+        horizon=horizon,
+        warmup_fraction=warmup_fraction,
+        num_batches=num_batches,
+        seed=seed,
+        confidence=confidence,
     )

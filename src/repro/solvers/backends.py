@@ -113,7 +113,7 @@ class TruncatedCTMCSolver(_MarkovianSolver):
     """Truncated-CTMC reference solution used for validation.
 
     Accepts scenario models as well as the homogeneous model: both expose
-    ``solve_ctmc`` with the same signature.
+    ``solve_ctmc`` with the same signature and solve the same chain.
     """
 
     name = "ctmc"
@@ -121,36 +121,17 @@ class TruncatedCTMCSolver(_MarkovianSolver):
     supports_warm_start = True
 
     def solve(self, model: "UnreliableQueueModel", **options: Any) -> object:
-        if not is_scenario_model(model):
-            representation = str(options.pop("representation", "auto"))
-            if representation == "product":
-                raise UnsupportedScenarioError(
-                    "the product representation only applies to scenario models; "
-                    "the homogeneous chain has no lumping to undo"
-                )
         return model.solve_ctmc(**options)
 
-    def options_from_policy(self, policy: "SolverPolicy") -> dict[str, object]:
-        if policy.representation != "auto":
-            return {"representation": policy.representation}
-        return {}
-
     def metrics(self, solution: Any) -> dict[str, float]:
-        metrics = {
+        # The utilisation makes CTMC rows directly comparable to simulation
+        # estimates; the chain size shows what the lumping bought.
+        return {
             "mean_queue_length": solution.mean_queue_length,
             "mean_response_time": solution.mean_response_time,
+            "utilisation": float(solution.utilisation),
+            "num_solved_states": float(solution.num_solved_states),
         }
-        # Scenario solutions report their utilisation so CTMC rows are
-        # directly comparable to simulation estimates in cross-validation.
-        utilisation = getattr(solution, "utilisation", None)
-        if utilisation is not None:
-            metrics["utilisation"] = float(utilisation)
-        # Scenario solutions also report the size of the chain that was
-        # actually swept, so callers can see what the lumping bought them.
-        num_solved_states = getattr(solution, "num_solved_states", None)
-        if num_solved_states is not None:
-            metrics["num_solved_states"] = float(num_solved_states)
-        return metrics
 
 
 class SimulationSolver(Solver):
@@ -232,8 +213,6 @@ class TransientSolver(_MarkovianSolver):
         options: dict[str, object] = {}
         if policy.transient_times:
             options["times"] = policy.transient_times
-        if policy.representation != "auto":
-            options["representation"] = policy.representation
         return options
 
 

@@ -127,7 +127,6 @@ def _encode_key_part(value: object) -> object:
                 "simulate_num_batches": value.simulate_num_batches,
                 "simulate_warmup_fraction": value.simulate_warmup_fraction,
                 "transient_times": list(value.transient_times),
-                "representation": value.representation,
             },
         ]
     raise _UnspillableKeyError(f"cannot persist key component of type {type(value).__name__}")

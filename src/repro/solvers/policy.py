@@ -70,12 +70,6 @@ class SolverPolicy:
         cache key, so folding the grid in here is what makes cached transient
         outcomes time-grid-aware: the same model solved over two different
         grids occupies two cache entries.
-    representation:
-        Chain representation forwarded to the scenario-capable CTMC backends
-        (``"ctmc"`` and ``"transient"``).  ``"auto"`` (the default) lets the
-        solver choose — always the lumped count-based chain; ``"lumped"`` and
-        ``"product"`` force the respective representation (product space is a
-        verification tool and only applies to scenario models).
     """
 
     order: tuple[str, ...] = ("spectral", "geometric")
@@ -84,7 +78,6 @@ class SolverPolicy:
     simulate_num_batches: int = SIMULATE_DEFAULTS.num_batches
     simulate_warmup_fraction: float = SIMULATE_DEFAULTS.warmup_fraction
     transient_times: tuple[float, ...] = ()
-    representation: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.order:
@@ -95,11 +88,6 @@ class SolverPolicy:
         )
         if any(t < 0.0 for t in self.transient_times):
             raise ParameterError("transient_times must be non-negative")
-        if self.representation not in ("auto", "lumped", "product"):
-            raise ParameterError(
-                f"unknown representation {self.representation!r}; "
-                "expected one of auto, lumped, product"
-            )
         registry = _VALIDATION_REGISTRY.get()
         if registry is None:
             registry = default_registry()
@@ -117,10 +105,6 @@ class SolverPolicy:
     def with_transient_times(self, *times: float) -> "SolverPolicy":
         """A copy of the policy with a different transient evaluation grid."""
         return replace(self, transient_times=tuple(times))
-
-    def with_representation(self, representation: str) -> "SolverPolicy":
-        """A copy of the policy forcing a chain representation."""
-        return replace(self, representation=representation)
 
 
 def as_policy(policy: object, *, registry: "SolverRegistry | None" = None) -> SolverPolicy:

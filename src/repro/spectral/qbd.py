@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .._validation import check_non_negative_int, check_positive
-from ..markov import BreakdownEnvironment
+from ..markov import ScenarioEnvironment
 
 
 class ModulatedQueueMatrices:
@@ -35,7 +35,9 @@ class ModulatedQueueMatrices:
     Parameters
     ----------
     environment:
-        The Markovian environment (modes, matrix ``A``, operative counts).
+        The Markovian environment of the homogeneous pool (the ``K = 1,
+        R = N`` :class:`~repro.markov.ScenarioEnvironment`: modes, matrix
+        ``A``, operative counts).
     arrival_rate:
         The Poisson arrival rate ``lambda``.
     service_rate:
@@ -44,7 +46,7 @@ class ModulatedQueueMatrices:
 
     def __init__(
         self,
-        environment: BreakdownEnvironment,
+        environment: ScenarioEnvironment,
         arrival_rate: float,
         service_rate: float,
     ) -> None:
@@ -57,7 +59,7 @@ class ModulatedQueueMatrices:
     # ------------------------------------------------------------------ #
 
     @property
-    def environment(self) -> BreakdownEnvironment:
+    def environment(self) -> ScenarioEnvironment:
         """The modulating environment."""
         return self._environment
 
@@ -93,7 +95,7 @@ class ModulatedQueueMatrices:
     @cached_property
     def mode_row_sums(self) -> np.ndarray:
         """The diagonal matrix ``D^A`` of the row sums of ``A``."""
-        return self._environment.row_sum_matrix
+        return np.diag(self.mode_transition_matrix.sum(axis=1))
 
     @cached_property
     def arrival_matrix(self) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Model-level transient analysis: build the chain, pick a start, run the engine.
 
 :func:`solve_transient` is the front door of the package.  It reuses the
-truncated-generator builders of the steady-state reference solvers — the
-homogeneous one in :mod:`repro.queueing.ctmc_reference` and the scenario one
-in :mod:`repro.scenarios.ctmc` — so the transient engine analyses *exactly*
-the chain the steady-state CTMC solver validates against, sizes the
-truncation the same way, and wraps the uniformization sweep in a
+truncated-generator builder of the steady-state reference solver in
+:mod:`repro.scenarios.ctmc` — one chain for scenarios and for the paper's
+pool, their ``K = 1, R = N`` case — so the transient engine analyses
+*exactly* the chain the steady-state CTMC solver validates against, sizes
+the truncation the same way, and wraps the uniformization sweep in a
 :class:`~repro.transient.solution.TransientSolution`.
 
 Initial conditions
@@ -29,12 +29,13 @@ too):
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..exceptions import ParameterError
+from ..scenarios.ctmc import build_truncated_generator, default_truncation_level
 from .solution import TransientSolution
 from .uniformization import (
     DEFAULT_STATIONARY_TOLERANCE,
@@ -77,34 +78,22 @@ def _mode_distribution(model: "TransientModel", kind: str) -> np.ndarray:
 
     operative_start = kind == "empty-operative"
     distribution = np.zeros(environment.num_modes)
-    if getattr(model, "is_scenario", False):
-        weights_by_group = (
-            environment.operative_weights_by_group
-            if operative_start
-            else environment.inoperative_weights_by_group
-        )
-        for index, mode in enumerate(environment.modes):
-            probability = 1.0
-            for group, (operative, inoperative) in enumerate(mode):
-                occupancy, other = (
-                    (operative, inoperative) if operative_start else (inoperative, operative)
-                )
-                if sum(other) != 0:
-                    probability = 0.0
-                    break
-                probability *= _occupancy_probability(occupancy, weights_by_group[group])
-            distribution[index] = probability
-    else:
-        weights = (
-            environment.operative_weights if operative_start else environment.inoperative_weights
-        )
-        for index, (operative, inoperative) in enumerate(environment.modes):
+    weights_by_group = (
+        environment.operative_weights_by_group
+        if operative_start
+        else environment.inoperative_weights_by_group
+    )
+    for index, mode in enumerate(environment.modes):
+        probability = 1.0
+        for group, (operative, inoperative) in enumerate(mode):
             occupancy, other = (
                 (operative, inoperative) if operative_start else (inoperative, operative)
             )
             if sum(other) != 0:
-                continue
-            distribution[index] = _occupancy_probability(occupancy, weights)
+                probability = 0.0
+                break
+            probability *= _occupancy_probability(occupancy, weights_by_group[group])
+        distribution[index] = probability
     total = distribution.sum()
     if not np.isclose(total, 1.0, atol=1e-9):  # pragma: no cover - defensive
         raise ParameterError(f"initial mode distribution sums to {total}, expected 1")
@@ -152,17 +141,6 @@ def initial_distribution(
     )
 
 
-def _truncation_builders(
-    model: "TransientModel",
-) -> tuple[Callable[..., int], Callable[..., np.ndarray]]:
-    """The (default level, generator builder) pair for the model's chain."""
-    if getattr(model, "is_scenario", False):
-        from ..scenarios.ctmc import build_truncated_generator, default_truncation_level
-    else:
-        from ..queueing.ctmc_reference import build_truncated_generator, default_truncation_level
-    return default_truncation_level, build_truncated_generator
-
-
 def normalise_times(times: float | Sequence[float] | np.ndarray) -> tuple[float, ...]:
     """Coerce, validate and ascending-sort an evaluation time grid."""
     grid = tuple(sorted({float(t) for t in np.atleast_1d(np.asarray(times, dtype=float))}))
@@ -179,7 +157,6 @@ def solve_transient(
     *,
     initial: str | Sequence[float] | np.ndarray = "empty-operative",
     max_queue_length: int | None = None,
-    representation: str = "auto",
     tol: float = DEFAULT_TAIL_TOLERANCE,
     stationary_tol: float = DEFAULT_STATIONARY_TOLERANCE,
 ) -> TransientSolution:
@@ -201,33 +178,20 @@ def solve_transient(
         Truncation level ``J``; defaults to the steady-state solver's
         decay-rate-based level, which bounds the mass a *stable* chain can
         push past the boundary from an empty start.
-    representation:
-        ``"auto"``/``"lumped"`` sweep the count-based chain; ``"product"``
-        sweeps the per-server-labelled chain of a *scenario* model (named
-        initial conditions only) and aggregates each ``pi(t)`` through the
-        lumping map — a law-equivalence verification tool, not a fast path.
     tol:
         Poisson-tail tolerance of the uniformization engine.
     stationary_tol:
         Stationarity-detection threshold of the engine (0 disables).
     """
-    from ..scenarios.ctmc import resolve_representation
-
     model.require_stable()
-    representation = resolve_representation(representation)
-    default_level, build_generator = _truncation_builders(model)
-    level = default_level(model) if max_queue_length is None else int(max_queue_length)
+    level = default_truncation_level(model) if max_queue_length is None else int(max_queue_length)
     if level <= model.num_servers:
         raise ParameterError(
             "max_queue_length must exceed the number of servers "
             f"({level} <= {model.num_servers})"
         )
     grid = normalise_times(times)
-    if representation == "product":
-        return _solve_transient_product(
-            model, grid, initial, level, tol=tol, stationary_tol=stationary_tol
-        )
-    generator = build_generator(model, level)
+    generator = build_truncated_generator(model, level)
     start = initial_distribution(model, level + 1, initial)
     result = transient_distributions(
         generator, start, grid, tol=tol, stationary_tol=stationary_tol
@@ -241,56 +205,5 @@ def solve_transient(
         rate=result.rate,
         steps=result.steps,
         stationary_step=result.stationary_step,
-        representation="lumped",
-        num_solved_states=(level + 1) * num_modes,
     )
 
-
-def _solve_transient_product(
-    model: "TransientModel",
-    grid: tuple[float, ...],
-    initial: str | Sequence[float] | np.ndarray,
-    level: int,
-    *,
-    tol: float,
-    stationary_tol: float,
-) -> TransientSolution:
-    """Sweep the product-space chain and aggregate ``pi(t)`` onto lumped modes."""
-    from ..scenarios.ctmc import build_truncated_generator_product, product_environment
-    from ..scenarios.model import ScenarioModel
-
-    if not isinstance(model, ScenarioModel):
-        raise ParameterError(
-            "the product representation only applies to scenario models; "
-            "homogeneous models have a single server group with no lumping to undo"
-        )
-    if not isinstance(initial, str):
-        raise ParameterError(
-            "the product representation supports only named initial conditions "
-            f"({', '.join(INITIAL_CONDITIONS)}); explicit vectors are over lumped modes"
-        )
-    if initial not in INITIAL_CONDITIONS:
-        raise ParameterError(
-            f"unknown initial condition {initial!r}; expected one of "
-            f"{', '.join(INITIAL_CONDITIONS)} or an explicit vector"
-        )
-    environment = product_environment(model)
-    generator = build_truncated_generator_product(model, level, environment)
-    num_states = environment.num_states
-    start = np.zeros((level + 1) * num_states)
-    start[:num_states] = environment.initial_distribution(initial)
-    result = transient_distributions(
-        generator, start, grid, tol=tol, stationary_tol=stationary_tol
-    )
-    per_state = result.distributions.reshape(len(grid), level + 1, num_states)
-    probabilities = environment.lump_distribution(per_state)
-    return TransientSolution(
-        model,
-        grid,
-        probabilities,
-        rate=result.rate,
-        steps=result.steps,
-        stationary_step=result.stationary_step,
-        representation="product",
-        num_solved_states=(level + 1) * num_states,
-    )

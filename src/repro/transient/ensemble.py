@@ -23,12 +23,12 @@ import numpy as np
 
 from .._validation import check_positive_int
 from ..exceptions import SimulationError
+from ..scenarios.model import ScenarioModel
 from ..simulation.estimators import ConfidenceInterval, batch_means_interval
+from ..simulation.scenario_sim import ScenarioSimulator
 from .analysis import normalise_times
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..simulation.queue_sim import UnreliableQueueSimulator
-    from ..simulation.scenario_sim import ScenarioSimulator
     from .analysis import TransientModel
 
 
@@ -68,27 +68,6 @@ class TransientEnsembleEstimate:
         )
 
 
-def _build_simulator(
-    model: "TransientModel", seed: int
-) -> "UnreliableQueueSimulator | ScenarioSimulator":
-    """One fresh simulator for ``model`` (scenario-aware dispatch)."""
-    if getattr(model, "is_scenario", False):
-        from ..simulation.scenario_sim import ScenarioSimulator
-
-        return ScenarioSimulator(model, seed=seed)
-    from ..simulation.queue_sim import UnreliableQueueSimulator
-    from ..distributions import Exponential
-
-    return UnreliableQueueSimulator(
-        num_servers=model.num_servers,
-        arrival_rate=model.arrival_rate,
-        service_distribution=Exponential(rate=model.service_rate),
-        operative_distribution=model.operative,
-        inoperative_distribution=model.inoperative,
-        seed=seed,
-    )
-
-
 def simulate_transient(
     model: "TransientModel",
     times: float | Sequence[float] | np.ndarray,
@@ -103,8 +82,9 @@ def simulate_transient(
     ----------
     model:
         An :class:`~repro.queueing.model.UnreliableQueueModel` or
-        :class:`~repro.scenarios.ScenarioModel`; period distributions may be
-        arbitrary (no phase-type restriction).
+        :class:`~repro.scenarios.ScenarioModel` (the former runs as its
+        ``K = 1, R = N`` scenario); period distributions may be arbitrary
+        (no phase-type restriction).
     times:
         Sampling times (deduplicated, sorted ascending).  Every replication
         starts empty with all servers operative — the simulators' bootstrap
@@ -124,13 +104,14 @@ def simulate_transient(
     if grid[-1] <= 0.0:
         raise SimulationError("the sampling grid needs at least one positive time")
 
+    scenario = model if isinstance(model, ScenarioModel) else ScenarioModel.from_homogeneous(model)
     master = np.random.default_rng(seed)
     seeds = master.integers(0, np.iinfo(np.int64).max, size=num_replications)
 
     queue_samples = np.zeros((num_replications, len(grid)))
     operative_samples = np.zeros((num_replications, len(grid)))
     for replication in range(num_replications):
-        simulator = _build_simulator(model, int(seeds[replication]))
+        simulator = ScenarioSimulator(scenario, seed=int(seeds[replication]))
         for index, t in enumerate(grid):
             if t > 0.0:
                 simulator.run(t)

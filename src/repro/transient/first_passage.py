@@ -26,7 +26,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from ..exceptions import ParameterError, SolverError
-from .analysis import _truncation_builders, initial_distribution, normalise_times
+from ..scenarios.ctmc import build_truncated_generator, default_truncation_level
+from .analysis import initial_distribution, normalise_times
 from .uniformization import DEFAULT_TAIL_TOLERANCE, transient_distributions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -161,14 +162,13 @@ def first_passage_time(
         Poisson-tail tolerance of the uniformization engine.
     """
     model.require_stable()
-    default_level, build_generator = _truncation_builders(model)
-    level = default_level(model) if max_queue_length is None else int(max_queue_length)
+    level = default_truncation_level(model) if max_queue_length is None else int(max_queue_length)
     if level <= model.num_servers:
         raise ParameterError(
             "max_queue_length must exceed the number of servers "
             f"({level} <= {model.num_servers})"
         )
-    generator = scipy.sparse.csr_matrix(build_generator(model, level))
+    generator = scipy.sparse.csr_matrix(build_truncated_generator(model, level))
     num_levels = level + 1
     mask = target_mask(model, num_levels, target, queue_threshold=queue_threshold)
     grid = normalise_times(times)

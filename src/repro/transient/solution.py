@@ -57,13 +57,6 @@ class TransientSolution:
     stationary_step:
         The step at which the engine detected stationarity of the iterates,
         or ``None`` when the full Poisson truncation was swept.
-    representation:
-        Which chain representation the engine actually swept (``"lumped"``
-        or ``"product"``); the stored probabilities are always over the
-        lumped modes.
-    num_solved_states:
-        The state-space size of the swept chain (defaults to
-        ``levels * modes`` of the stored array).
     """
 
     def __init__(
@@ -75,8 +68,6 @@ class TransientSolution:
         rate: float,
         steps: int,
         stationary_step: int | None = None,
-        representation: str = "lumped",
-        num_solved_states: int | None = None,
     ) -> None:
         self._model = model
         self._times = tuple(float(t) for t in times)
@@ -89,10 +80,6 @@ class TransientSolution:
         self._rate = float(rate)
         self._steps = int(steps)
         self._stationary_step = stationary_step
-        self._representation = representation
-        if num_solved_states is None:
-            num_solved_states = int(self._probabilities.shape[1] * self._probabilities.shape[2])
-        self._num_solved_states = num_solved_states
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -134,14 +121,9 @@ class TransientSolution:
         return self._stationary_step is not None
 
     @property
-    def representation(self) -> str:
-        """Which chain representation was swept (``"lumped"`` or ``"product"``)."""
-        return self._representation
-
-    @property
     def num_solved_states(self) -> int:
-        """The state-space size of the chain that was actually swept."""
-        return self._num_solved_states
+        """The state-space size of the chain that was swept."""
+        return int(self._probabilities.shape[1] * self._probabilities.shape[2])
 
     def index_of(self, t: float) -> int:
         """The grid index of evaluation time ``t`` (must be on the grid)."""
@@ -254,8 +236,7 @@ class TransientSolution:
             "truncation_level": self.truncation_level,
             "uniformization_rate": self._rate,
             "steps": self._steps,
-            "representation": self._representation,
-            "num_solved_states": self._num_solved_states,
+            "num_solved_states": self.num_solved_states,
             "rows": self.to_rows(),
         }
         text = json.dumps(payload, indent=2)

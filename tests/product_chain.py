@@ -1,7 +1,7 @@
-"""Per-server (product-space) scenario environment, for lumping verification.
+"""The per-server (product-space) scenario chain: the test oracle for lumping.
 
-:class:`~repro.markov.scenario_env.ScenarioEnvironment` tracks only *how
-many* servers of each group occupy each phase — the lumped representation.
+:class:`~repro.markov.ScenarioEnvironment` tracks only *how many* servers of
+each group occupy each phase — the lumped representation the library solves.
 This module builds the chain it is the quotient of: every server is labelled
 and tracked individually, so a global state is the tuple of per-server phases
 and the state space has :math:`\\prod_g (n_g + m_g)^{N_g}` states instead of
@@ -12,14 +12,14 @@ only on a server's own phase and on the *total* number of broken servers
 (through the crew-sharing factor), never on server identity.  The count map
 is therefore a strong lumping of this chain, and the two representations are
 law-equivalent — :meth:`ProductScenarioEnvironment.lumping_map` exhibits the
-quotient map, and the equivalence tests aggregate product-space solutions
-through it and compare against the lumped solver at solver precision.
+quotient map, and ``test_lumping.py`` aggregates the product-space solutions
+of :func:`solve_product_ctmc` and :func:`solve_product_transient` through it
+and compares them against the library's solvers at solver precision.
 
 The product space grows exponentially in the group sizes, so this class
-guards construction behind :data:`PRODUCT_STATE_LIMIT`; it exists for
-verification and debugging (``--representation product``), not for scale.
-That asymmetry is the point: the lumped representation is what makes
-many-server scenarios tractable at all.
+guards construction behind :data:`PRODUCT_STATE_LIMIT`: it is an oracle for
+small scenarios, not a solver.  That asymmetry is the point: the lumped
+representation is what makes many-server scenarios tractable at all.
 """
 
 from __future__ import annotations
@@ -32,17 +32,26 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .._validation import check_positive_int
-from ..distributions import Distribution
-from ..exceptions import ParameterError
-from .environment import _as_phase_mixture
-from .scenario_env import ScenarioEnvironment
+from repro._validation import check_positive_int
+from repro.distributions import Distribution
+from repro.exceptions import ParameterError
+from repro.markov import (
+    LevelModeStructure,
+    ScenarioEnvironment,
+    assemble_level_mode_generator,
+    mode_index_map,
+    num_modes,
+    steady_state_csr,
+)
+from repro.markov.scenario_env import _as_phase_mixture
+from repro.scenarios import ScenarioModel
+from repro.transient.uniformization import transient_distributions
 
 #: Hard cap on the number of product states a :class:`ProductScenarioEnvironment`
 #: will materialise.  Beyond it the lumped representation is the only option.
 PRODUCT_STATE_LIMIT = 60_000
 
-#: The named initial conditions understood by :meth:`ProductScenarioEnvironment.initial_distribution`.
+#: The named initial conditions of :meth:`ProductScenarioEnvironment.initial_distribution`.
 _INITIAL_KINDS = ("empty-operative", "empty-inoperative", "empty-equilibrium")
 
 
@@ -71,10 +80,8 @@ class ProductScenarioEnvironment:
     """The per-server-labelled environment chain of a scenario.
 
     Accepts the same ``(size, operative, inoperative)`` group triples and
-    ``repair_capacity`` as :class:`ScenarioEnvironment` and exposes the same
-    solving surface (``num_modes``, ``transition_matrix_sparse``,
-    ``generator_sparse``, ``steady_state``, ``operative_counts_by_group``),
-    so the truncated-chain builders treat either representation uniformly.
+    ``repair_capacity`` as :class:`ScenarioEnvironment`; a state is the tuple
+    of per-server phases, mixed-radix encoded group by group.
     """
 
     def __init__(
@@ -127,11 +134,6 @@ class ProductScenarioEnvironment:
         """The number of per-server-labelled global states."""
         return self._num_states
 
-    @property
-    def num_modes(self) -> int:
-        """Alias of :attr:`num_states` (the builders' uniform vocabulary)."""
-        return self._num_states
-
     @cached_property
     def lumped(self) -> ScenarioEnvironment:
         """The count-based quotient environment this chain lumps onto."""
@@ -175,15 +177,6 @@ class ProductScenarioEnvironment:
         """The total number of inoperative servers in each state."""
         return float(self._num_servers) - self.operative_counts
 
-    def service_capacities(self, service_rates: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Per-state full-utilisation service capacity ``sum_g x_g mu_g``."""
-        rates = np.asarray(service_rates, dtype=float)
-        if rates.shape != (len(self._spaces),):
-            raise ParameterError(
-                f"expected {len(self._spaces)} per-group service rates, got shape {rates.shape}"
-            )
-        return self.operative_counts_by_group @ rates
-
     @cached_property
     def lumping_map(self) -> np.ndarray:
         """Array of length ``num_states``: the lumped mode index of each state.
@@ -191,14 +184,15 @@ class ProductScenarioEnvironment:
         The quotient map of the strong lumping: state ``i`` maps to the mode
         whose per-group phase-occupancy counts match the state's.
         """
-        lumped = self.lumped
         sizes = [space.subspace_size for space in self._spaces]
-        lumped_sizes = [len(modes) for modes in lumped._local_modes]
+        lumped_sizes = [
+            num_modes(space.size, space.alpha.size, space.beta.size) for space in self._spaces
+        ]
         global_index = np.zeros(self._num_states, dtype=np.int64)
         for position, space in enumerate(self._spaces):
             digits = self._group_digit_table(position)
-            index_map = lumped._local_index[position]
             n, m = space.alpha.size, space.beta.size
+            index_map = mode_index_map(space.size, n, m)
             local = np.empty(space.subspace_size, dtype=np.int64)
             for combo in range(space.subspace_size):
                 occupancy = np.bincount(digits[combo], minlength=n + m)
@@ -252,9 +246,7 @@ class ProductScenarioEnvironment:
         apart from the crew-sharing factor, which depends only on the global
         broken count and is applied as a row scaling of the repair part.
         """
-        bases = [
-            space.num_phases for space in self._spaces for _ in range(space.size)
-        ]
+        bases = [space.num_phases for space in self._spaces for _ in range(space.size)]
         server_positions = [
             position for position, space in enumerate(self._spaces) for _ in range(space.size)
         ]
@@ -292,8 +284,6 @@ class ProductScenarioEnvironment:
     @cached_property
     def steady_state(self) -> np.ndarray:
         """The stationary distribution over the product states."""
-        from .kernels import steady_state_csr
-
         return steady_state_csr(self.generator_sparse)
 
     # ------------------------------------------------------------------ #
@@ -332,3 +322,59 @@ class ProductScenarioEnvironment:
             f"ProductScenarioEnvironment(groups={sizes}, "
             f"R={self._repair_capacity}, states={self._num_states})"
         )
+
+
+def product_environment(scenario: ScenarioModel) -> ProductScenarioEnvironment:
+    """The per-server-labelled environment of a scenario (size-guarded)."""
+    return ProductScenarioEnvironment(
+        groups=[(group.size, group.operative, group.inoperative) for group in scenario.groups],
+        repair_capacity=scenario.effective_repair_capacity,
+    )
+
+
+def _product_generator(
+    scenario: ScenarioModel, max_queue_length: int, environment: ProductScenarioEnvironment
+) -> scipy.sparse.csr_matrix:
+    """The truncated generator over ``(level, per-server state)`` pairs.
+
+    The departure rate of a product state is that of its lumped mode (service
+    capacity depends only on the operative counts), so the lumped capacity
+    table is indexed through the lumping map rather than recomputed.
+    """
+    level_index = np.minimum(np.arange(max_queue_length + 1), scenario.num_servers)
+    departures = scenario.service_capacity_by_level[level_index][:, environment.lumping_map]
+    return assemble_level_mode_generator(
+        environment.transition_matrix_sparse, scenario.arrival_rate, departures
+    )
+
+
+def solve_product_ctmc(scenario: ScenarioModel, max_queue_length: int) -> np.ndarray:
+    """The stationary ``(levels, lumped modes)`` law, solved in product space."""
+    environment = product_environment(scenario)
+    generator = _product_generator(scenario, max_queue_length, environment)
+    structure = LevelModeStructure(
+        num_levels=max_queue_length + 1,
+        num_modes=environment.num_states,
+        mode_generator=environment.generator_sparse,
+    )
+    stationary = steady_state_csr(generator, structure=structure)
+    return environment.lump_distribution(
+        stationary.reshape(max_queue_length + 1, environment.num_states)
+    )
+
+
+def solve_product_transient(
+    scenario: ScenarioModel,
+    times: Sequence[float],
+    max_queue_length: int,
+    initial: str = "empty-operative",
+) -> np.ndarray:
+    """``pi(t)`` over ``(times, levels, lumped modes)``, swept in product space."""
+    environment = product_environment(scenario)
+    generator = _product_generator(scenario, max_queue_length, environment)
+    num_states = environment.num_states
+    start = np.zeros((max_queue_length + 1) * num_states)
+    start[:num_states] = environment.initial_distribution(initial)
+    result = transient_distributions(generator, start, tuple(times))
+    per_state = result.distributions.reshape(len(times), max_queue_length + 1, num_states)
+    return environment.lump_distribution(per_state)

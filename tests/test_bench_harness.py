@@ -27,7 +27,7 @@ _spec.loader.exec_module(harness)
 class TestRunBenchmarks:
     def test_records_carry_seconds_rss_and_metadata(self, capsys):
         def with_metadata(quick: bool):
-            return {"num_states": 42, "representation": "lumped"}
+            return {"num_states": 42, "num_product_modes": 64}
 
         def plain(quick: bool):
             return None
@@ -37,7 +37,7 @@ class TestRunBenchmarks:
         )
         assert set(records) == {"meta", "plain"}
         assert records["meta"]["num_states"] == 42
-        assert records["meta"]["representation"] == "lumped"
+        assert records["meta"]["num_product_modes"] == 64
         for record in records.values():
             assert float(record["seconds"]) >= 0.0
             assert float(record["peak_rss_mb"]) > 0.0

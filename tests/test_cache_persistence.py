@@ -104,6 +104,22 @@ class TestLoadFailureModes:
         assert restored.load(path) == 1
         assert restored.lookup(key) is not None
 
+    def test_entries_with_a_removed_policy_field_are_skipped(self, tmp_path):
+        # Snapshots from builds whose policies carried a ``representation``
+        # field load cold: the stale entries are dropped one by one.
+        cache, key = _solved_cache()
+        path = tmp_path / "snapshot.json"
+        cache.spill(path)
+        payload = json.loads(path.read_text())
+        stale = json.loads(json.dumps(payload["entries"][0]))
+        stale["key"][1][-1][1]["representation"] = "auto"
+        payload["entries"] = [stale]
+        path.write_text(json.dumps(payload))
+
+        restored = SolutionCache()
+        assert restored.load(path) == 0
+        assert restored.lookup(key) is None
+
 
 class TestUnspillableKeys:
     def test_instance_keyed_entries_are_skipped_not_fatal(self, tmp_path):

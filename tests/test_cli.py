@@ -267,7 +267,7 @@ class TestScenarioCommand:
         assert exit_code == 2
         assert "--list" in captured.err and "--preset" in captured.err
 
-    def test_preset_json_reports_representation_and_state_space(self, capsys):
+    def test_preset_json_reports_the_state_space(self, capsys):
         import json
 
         exit_code = main(
@@ -275,40 +275,19 @@ class TestScenarioCommand:
         )
         output = capsys.readouterr().out
         assert exit_code == 0
+        assert "State space" in output
         payload = json.loads(output[output.index("{") :])
         assert payload["scenario"] == "single-repairman"
         assert payload["solver"] == "ctmc"
-        representation = payload["representation"]
-        assert representation["requested"] == "auto"
-        assert representation["chosen"] == "lumped"
-        assert representation["num_product_modes"] >= representation["num_modes"]
+        state_space = payload["state_space"]
+        assert state_space["num_product_modes"] >= state_space["num_modes"]
         assert payload["metrics"]["num_solved_states"] > 0
 
-    def test_product_representation_solves_and_agrees(self, capsys):
-        import json
-
-        exit_code = main(
-            [
-                "scenario",
-                "--preset", "single-repairman",
-                "--solvers", "ctmc",
-                "--representation", "product",
-                "--json",
-            ]
-        )
-        output = capsys.readouterr().out
-        assert exit_code == 0
-        payload = json.loads(output[output.index("{") :])
-        assert payload["representation"]["chosen"] == "product"
-        # The per-server-labelled chain is strictly larger than the lumped one.
-        exit_code = main(
-            ["scenario", "--preset", "single-repairman", "--solvers", "ctmc", "--json"]
-        )
-        lumped = json.loads((out := capsys.readouterr().out)[out.index("{") :])
-        assert payload["metrics"]["num_solved_states"] > lumped["metrics"]["num_solved_states"]
-        assert payload["metrics"]["mean_queue_length"] == pytest.approx(
-            lumped["metrics"]["mean_queue_length"], abs=1e-10
-        )
+    def test_representation_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "--preset", "single-repairman", "--representation", "auto"])
+        assert excinfo.value.code == 2
+        assert "--representation" in capsys.readouterr().err
 
 
 class TestTransientCommand:
@@ -336,7 +315,7 @@ class TestTransientCommand:
         assert "mean jobs L(t)" in output
         assert "availability A(t)" in output
 
-    def test_product_representation_on_a_preset(self, tmp_path, capsys):
+    def test_preset_json_reports_the_solved_states(self, tmp_path, capsys):
         import json
 
         json_path = tmp_path / "transient.json"
@@ -345,24 +324,14 @@ class TestTransientCommand:
                 "transient",
                 "--preset", "single-repairman",
                 "--times", "1,5",
-                "--representation", "product",
                 "--json", str(json_path),
             ]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "representation        product" in output
+        assert "solved states" in output
         payload = json.loads(json_path.read_text())
-        assert payload["representation"] == "product"
         assert payload["num_solved_states"] > 0
-
-    def test_product_representation_rejected_for_homogeneous(self, capsys):
-        exit_code = main(
-            ["transient", "--servers", "3", "--times", "1", "--representation", "product"]
-        )
-        captured = capsys.readouterr()
-        assert exit_code == 2
-        assert "no lumping to undo" in captured.err
 
     def test_preset_with_first_passage(self, capsys):
         exit_code = main(

@@ -7,6 +7,9 @@ about each figure, which is what "reproducing the figure" means here.
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.distributions import Deterministic, Exponential, HyperExponential
@@ -23,6 +26,30 @@ from repro.experiments import (
     run_section2,
 )
 from repro.experiments.runner import render_report, run_all_experiments
+
+#: The reports of ``run_all_experiments(quick=True, include_section2=False)``,
+#: one ``## <name>`` section each.  Quick mode simulates nothing, so every
+#: number in them is analytic.  Regenerate by writing ``_quick_text(reports)``
+#: to this file after a deliberate change to the solvers' numbers.
+GOLDEN_QUICK_REPORTS = Path(__file__).parent / "golden" / "quick_reports.txt"
+
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?")
+
+
+def _quick_text(reports) -> str:
+    return "\n\n".join(f"## {report.name}\n\n{report.text}" for report in reports) + "\n"
+
+
+def _assert_matches_to_last_digit(actual: str, expected: str) -> None:
+    """Same text and integers; decimals within one unit of their last printed digit."""
+    assert _NUMBER.sub("#", actual) == _NUMBER.sub("#", expected)
+    for got, want in zip(_NUMBER.findall(actual), _NUMBER.findall(expected)):
+        decimals = len(want.partition(".")[2])
+        assert len(got.partition(".")[2]) == decimals, (got, want)
+        if decimals == 0:
+            assert got == want
+        else:
+            assert abs(float(got) - float(want)) <= 1.000001 * 10.0**-decimals, (got, want)
 
 
 class TestReporting:
@@ -218,3 +245,11 @@ class TestRunner:
         rendered = render_report(reports)
         for name in names:
             assert name in rendered
+        _assert_matches_to_last_digit(_quick_text(reports), GOLDEN_QUICK_REPORTS.read_text())
+
+    def test_golden_comparison_allows_one_unit_in_the_last_digit(self):
+        _assert_matches_to_last_digit("L 1.0870 N 12", "L 1.0869 N 12")
+        # Two units off, a digit dropped, an integer changed, the text changed.
+        for wrong in ("L 1.0871 N 12", "L 1.087 N 12", "L 1.0869 N 13", "W 1.0869 N 12"):
+            with pytest.raises(AssertionError):
+                _assert_matches_to_last_digit(wrong, "L 1.0869 N 12")

@@ -1,16 +1,17 @@
 """Lumped-vs-product equivalence of the scenario chain.
 
 The scenario solvers work in the lumped, count-based mode space; the
-per-server-labelled product chain is the ground truth the lumping must
-reproduce.  Exchangeability makes the product chain strongly lumpable, so
-after aggregating through the lumping map the two solves must agree to
-solver precision — not statistically, *numerically*.  These tests pin that
+per-server-labelled product chain (the oracle in ``product_chain.py``) is
+the ground truth the lumping must reproduce.  Exchangeability makes the
+product chain strongly lumpable, so after aggregating through the lumping
+map the two solves must agree to solver precision — not statistically,
+*numerically*.  These tests pin that
 equivalence at ``1e-10`` for every named preset (steady state and transient
 trajectories alike) and, via hypothesis, over a family of random stable
 scenarios whose product spaces are still small enough to build.
 
-Both representations are solved at the *same* truncation level so the
-truncation bias cancels exactly and the comparison isolates the lumping.
+Both chains are solved at the *same* truncation level so the truncation
+bias cancels exactly and the comparison isolates the lumping.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from product_chain import (
+    product_environment,
+    solve_product_ctmc,
+    solve_product_transient,
+)
 
 from repro.distributions import Exponential, HyperExponential
 from repro.scenarios import (
@@ -30,7 +36,6 @@ from repro.scenarios import (
     scenario_preset,
     solve_scenario_ctmc,
 )
-from repro.scenarios.ctmc import product_environment
 from repro.transient import solve_transient
 
 #: The pinned agreement tolerance: lumping is exact, so the two solves may
@@ -41,10 +46,9 @@ TOLERANCE = 1e-10
 TRANSIENT_TIMES = (1.0, 5.0, 20.0)
 
 
-def _solve_both(scenario: ScenarioModel, level: int):
-    lumped = solve_scenario_ctmc(scenario, level, representation="lumped")
-    product = solve_scenario_ctmc(scenario, level, representation="product")
-    return lumped, product
+def _marginals(probabilities: np.ndarray) -> np.ndarray:
+    totals = probabilities.sum(axis=0)
+    return totals / totals.sum()
 
 
 class TestPresetSteadyStateEquivalence:
@@ -52,18 +56,19 @@ class TestPresetSteadyStateEquivalence:
     def test_lumped_matches_product(self, name: str):
         scenario = scenario_preset(name)
         level = scenario.num_servers + 25
-        lumped, product = _solve_both(scenario, level)
+        lumped = solve_scenario_ctmc(scenario, level)
+        product = solve_product_ctmc(scenario, level)
 
-        assert lumped.representation == "lumped"
-        assert product.representation == "product"
-        assert product.num_solved_states > lumped.num_solved_states
+        product_states = (level + 1) * scenario.environment.num_product_modes
+        assert product_states > lumped.num_solved_states
 
-        assert np.max(
-            np.abs(lumped.probabilities_by_level - product.probabilities_by_level)
-        ) <= TOLERANCE
-        assert abs(lumped.mean_queue_length - product.mean_queue_length) <= TOLERANCE
-        assert abs(lumped.utilisation - product.utilisation) <= TOLERANCE
-        assert np.max(np.abs(lumped.mode_marginals() - product.mode_marginals())) <= TOLERANCE
+        assert np.max(np.abs(lumped.probabilities_by_level - product)) <= TOLERANCE
+        levels = np.arange(level + 1)
+        assert abs(lumped.mean_queue_length - levels @ product.sum(axis=1)) <= TOLERANCE
+        busy = np.minimum(scenario.environment.operative_counts, levels[:, None])
+        product_utilisation = float(np.sum(product * busy)) / scenario.num_servers
+        assert abs(lumped.utilisation - product_utilisation) <= TOLERANCE
+        assert np.max(np.abs(lumped.mode_marginals() - _marginals(product))) <= TOLERANCE
 
     @pytest.mark.parametrize("name", preset_names())
     def test_product_mode_count_formula(self, name: str):
@@ -93,23 +98,17 @@ class TestPresetTransientEquivalence:
     def test_trajectories_match(self, name: str):
         scenario = scenario_preset(name)
         level = scenario.num_servers + 20
-        lumped = solve_transient(
-            scenario, TRANSIENT_TIMES, max_queue_length=level, representation="lumped"
-        )
-        product = solve_transient(
-            scenario, TRANSIENT_TIMES, max_queue_length=level, representation="product"
-        )
+        lumped = solve_transient(scenario, TRANSIENT_TIMES, max_queue_length=level)
+        product = solve_product_transient(scenario, TRANSIENT_TIMES, level)
 
-        assert lumped.representation == "lumped"
-        assert product.representation == "product"
-        assert product.num_solved_states > lumped.num_solved_states
-
-        for t in TRANSIENT_TIMES:
-            assert np.max(
-                np.abs(lumped.distribution_at(t) - product.distribution_at(t))
-            ) <= TOLERANCE
-        assert np.max(np.abs(lumped.mean_queue_length - product.mean_queue_length)) <= TOLERANCE
-        assert np.max(np.abs(lumped.availability - product.availability)) <= TOLERANCE
+        for index, t in enumerate(TRANSIENT_TIMES):
+            assert np.max(np.abs(lumped.distribution_at(t) - product[index])) <= TOLERANCE
+        levels = np.arange(level + 1)
+        product_mean = product.sum(axis=2) @ levels
+        assert np.max(np.abs(lumped.mean_queue_length - product_mean)) <= TOLERANCE
+        counts = scenario.environment.operative_counts
+        product_availability = product.sum(axis=1) @ counts / scenario.num_servers
+        assert np.max(np.abs(lumped.availability - product_availability)) <= TOLERANCE
 
 
 @st.composite
@@ -163,28 +162,26 @@ def small_stable_scenarios(draw) -> ScenarioModel:
 def test_random_scenarios_lump_exactly(scenario: ScenarioModel):
     assert scenario.is_stable
     level = scenario.num_servers + 15
-    lumped, product = _solve_both(scenario, level)
+    lumped = solve_scenario_ctmc(scenario, level)
+    product = solve_product_ctmc(scenario, level)
 
-    assert np.max(np.abs(lumped.mode_marginals() - product.mode_marginals())) <= TOLERANCE, (
+    assert np.max(np.abs(lumped.mode_marginals() - _marginals(product))) <= TOLERANCE, (
         f"steady-state marginals diverge for {scenario!r}"
     )
-    assert abs(lumped.mean_queue_length - product.mean_queue_length) <= TOLERANCE
+    product_mean = float(np.arange(level + 1) @ product.sum(axis=1))
+    assert abs(lumped.mean_queue_length - product_mean) <= TOLERANCE
 
     counts = scenario.environment.operative_counts
     availability_lumped = float(lumped.mode_marginals() @ counts) / scenario.num_servers
-    availability_product = float(product.mode_marginals() @ counts) / scenario.num_servers
+    availability_product = float(_marginals(product) @ counts) / scenario.num_servers
     assert abs(availability_lumped - availability_product) <= TOLERANCE
 
-    lumped_t = solve_transient(
-        scenario, TRANSIENT_TIMES, max_queue_length=level, representation="lumped"
-    )
-    product_t = solve_transient(
-        scenario, TRANSIENT_TIMES, max_queue_length=level, representation="product"
-    )
-    for t in TRANSIENT_TIMES:
-        assert np.max(
-            np.abs(lumped_t.distribution_at(t) - product_t.distribution_at(t))
-        ) <= TOLERANCE, f"transient law diverges at t={t} for {scenario!r}"
+    lumped_t = solve_transient(scenario, TRANSIENT_TIMES, max_queue_length=level)
+    product_t = solve_product_transient(scenario, TRANSIENT_TIMES, level)
+    for index, t in enumerate(TRANSIENT_TIMES):
+        assert np.max(np.abs(lumped_t.distribution_at(t) - product_t[index])) <= TOLERANCE, (
+            f"transient law diverges at t={t} for {scenario!r}"
+        )
 
 
 def test_product_environment_steady_state_lumps_to_scenario_steady_state():

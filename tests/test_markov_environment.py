@@ -1,67 +1,68 @@
-"""Unit tests for the Markovian environment and the generic CTMC utilities."""
+"""Unit tests for the Markovian environment and the dense CTMC fallback.
+
+The paper's homogeneous pool is the ``K = 1, R = N`` scenario environment;
+the first three classes pin that case (worked example, Eq. 10-11), the last
+pins the index-arithmetic assembly of multi-group environments against a
+brute-force construction over the global modes.
+"""
 
 from __future__ import annotations
 
+import hashlib
+from math import comb
+
 import numpy as np
 import pytest
+import scipy.sparse
 
-from repro.distributions import Deterministic, Exponential, HyperExponential
+from repro.distributions import SUN_OPERATIVE_FIT, Deterministic, Exponential, HyperExponential
 from repro.exceptions import ParameterError, SolverError
 from repro.markov import (
-    BreakdownEnvironment,
-    embedded_jump_chain,
-    expected_num_modes,
-    mean_holding_times,
+    ScenarioEnvironment,
+    expected_num_scenario_modes,
+    steady_state_csr,
     steady_state_from_generator,
-    steady_state_sparse,
-    validate_generator,
 )
-
-import scipy.sparse
+from repro.queueing import sun_fitted_model
 
 
 @pytest.fixture
-def paper_environment() -> BreakdownEnvironment:
+def paper_environment() -> ScenarioEnvironment:
     """The N=2, n=2, m=1 environment of the paper's worked example."""
-    return BreakdownEnvironment(
-        num_servers=2,
-        operative=HyperExponential(weights=[0.6, 0.4], rates=[0.5, 0.05]),
-        inoperative=Exponential(rate=2.0),
-    )
+    operative = HyperExponential(weights=[0.6, 0.4], rates=[0.5, 0.05])
+    return ScenarioEnvironment([(2, operative, Exponential(rate=2.0))])
 
 
 class TestEnvironmentStructure:
     def test_mode_count(self, paper_environment):
         assert paper_environment.num_modes == 6
 
-    def test_phase_counts(self, paper_environment):
-        assert paper_environment.num_operative_phases == 2
-        assert paper_environment.num_inoperative_phases == 1
-
     def test_operative_counts_per_mode(self, paper_environment):
-        np.testing.assert_allclose(
-            paper_environment.operative_counts, [0, 1, 1, 2, 2, 2]
-        )
+        np.testing.assert_allclose(paper_environment.operative_counts, [0, 1, 1, 2, 2, 2])
 
     def test_mode_lookup(self, paper_environment):
-        assert paper_environment.mode_of((0, 0), (2,)) == 0
-        assert paper_environment.mode_of((1, 1), (0,)) == 4
+        assert paper_environment.mode_of((((0, 0), (2,)),)) == 0
+        assert paper_environment.mode_of((((1, 1), (0,)),)) == 4
 
     def test_mode_lookup_invalid(self, paper_environment):
         with pytest.raises(ParameterError):
-            paper_environment.mode_of((3, 0), (0,))
+            paper_environment.mode_of((((3, 0), (0,)),))
 
     def test_expected_num_modes_helper(self):
         operative = HyperExponential(weights=[0.5, 0.5], rates=[1.0, 0.1])
-        assert expected_num_modes(10, operative, Exponential(rate=25.0)) == 66
+        assert expected_num_scenario_modes([(10, operative, Exponential(rate=25.0))]) == 66
 
     def test_unsupported_distribution_rejected(self):
-        with pytest.raises(ParameterError):
-            BreakdownEnvironment(
-                num_servers=2,
-                operative=Deterministic(value=5.0),
-                inoperative=Exponential(rate=1.0),
-            )
+        with pytest.raises(ParameterError, match="Exponential or HyperExponential"):
+            ScenarioEnvironment([(2, Deterministic(value=5.0), Exponential(rate=1.0))])
+
+    def test_homogeneous_model_uses_the_one_group_environment(self):
+        model = sun_fitted_model(5, 3.0)
+        environment = model.environment
+        assert isinstance(environment, ScenarioEnvironment)
+        assert environment.group_sizes == (5,)
+        assert environment.repair_capacity == 5
+        assert model.num_modes == environment.num_modes == 21
 
 
 class TestTransitionMatrix:
@@ -81,10 +82,8 @@ class TestTransitionMatrix:
         alpha = np.array([0.6, 0.4])
         xi = np.array([0.5, 0.05])
         eta = 2.0
-        environment = BreakdownEnvironment(
-            num_servers=2,
-            operative=HyperExponential(weights=alpha, rates=xi),
-            inoperative=Exponential(rate=eta),
+        environment = ScenarioEnvironment(
+            [(2, HyperExponential(weights=alpha, rates=xi), Exponential(rate=eta))]
         )
         expected = np.array(
             [
@@ -101,116 +100,146 @@ class TestTransitionMatrix:
     def test_diagonal_of_a_is_zero(self, paper_environment):
         assert np.all(np.diag(paper_environment.transition_matrix) == 0.0)
 
-    def test_row_sum_matrix_is_diagonal_of_row_sums(self, paper_environment):
-        matrix = paper_environment.transition_matrix
-        expected = np.diag(matrix.sum(axis=1))
-        np.testing.assert_allclose(paper_environment.row_sum_matrix, expected)
-
     def test_generator_rows_sum_to_zero(self, paper_environment):
         generator = paper_environment.generator
         np.testing.assert_allclose(generator.sum(axis=1), 0.0, atol=1e-12)
 
-    def test_transitions_preserve_server_count(self, paper_environment):
-        modes = paper_environment.modes
-        for transition in paper_environment.transitions():
-            source_op, source_inop = modes[transition.source]
-            target_op, target_inop = modes[transition.target]
-            assert sum(source_op) + sum(source_inop) == 2
-            assert sum(target_op) + sum(target_inop) == 2
-            if transition.kind == "breakdown":
-                assert sum(target_op) == sum(source_op) - 1
-            else:
-                assert sum(target_op) == sum(source_op) + 1
+    def test_transitions_move_one_server(self, paper_environment):
+        counts = paper_environment.operative_counts
+        sources, targets = np.nonzero(paper_environment.transition_matrix)
+        assert sources.size == 12
+        assert np.all(np.abs(counts[targets] - counts[sources]) == 1.0)
+        assert np.all(paper_environment.transition_matrix[sources, targets] > 0.0)
 
-    def test_transition_rates_positive(self, paper_environment):
-        assert all(t.rate > 0.0 for t in paper_environment.transitions())
+    #: SHA-256 prefixes of the dense ``A`` of the Sun-fitted pool (eta = 25),
+    #: N = 3..15: the spectral and geometric solvers read exactly these bytes.
+    DIGESTS = {
+        3: "b405cee326c34a1a",
+        4: "1946d29568f6fb27",
+        5: "d48ff6030c6e8319",
+        6: "fda358e7338a36b2",
+        7: "647cc2af3c8c089d",
+        8: "05e7da3dd5fe4e8a",
+        9: "88bf88bbd4e80b66",
+        10: "5f6e4d6fae6a06b0",
+        11: "1129c01ede13da9f",
+        12: "609673796dad08ea",
+        13: "a52b267d2e30509d",
+        14: "bc5d098254ae72d2",
+        15: "0834fb4af8d4b8d9",
+    }
+
+    @pytest.mark.parametrize("num_servers", sorted(DIGESTS))
+    def test_sun_fitted_rate_matrix_is_bit_stable(self, num_servers):
+        environment = ScenarioEnvironment(
+            [(num_servers, SUN_OPERATIVE_FIT, Exponential(rate=25.0))]
+        )
+        digest = hashlib.sha256(environment.transition_matrix.tobytes()).hexdigest()[:16]
+        assert digest == self.DIGESTS[num_servers]
 
 
 class TestEnvironmentSteadyState:
     def test_availability_formula(self, paper_environment):
-        operative_mean = paper_environment.mean_operative_period
-        inoperative_mean = paper_environment.mean_inoperative_period
-        expected = operative_mean / (operative_mean + inoperative_mean)
-        assert paper_environment.availability == pytest.approx(expected)
+        operative = HyperExponential(weights=[0.6, 0.4], rates=[0.5, 0.05])
+        expected = operative.mean / (operative.mean + 0.5)
+        assert paper_environment.availability == pytest.approx(expected, rel=1e-9)
 
-    def test_mean_operative_period_eq10(self):
-        environment = BreakdownEnvironment(
-            num_servers=3,
-            operative=HyperExponential(weights=[0.7246, 0.2754], rates=[0.1663, 0.0091]),
-            inoperative=Exponential(rate=25.0),
+    def test_model_availability_matches_environment(self):
+        """N * eta/(xi+eta) equals the environment-chain expectation (Eq. 11 input)."""
+        model = sun_fitted_model(3, 1.0)
+        assert model.operative.mean == pytest.approx(34.62, abs=0.05)
+        assert model.mean_operative_servers == pytest.approx(
+            model.environment.mean_operative_servers, rel=1e-9
         )
-        assert environment.mean_operative_period == pytest.approx(34.62, abs=0.05)
-        assert environment.mean_inoperative_period == pytest.approx(0.04)
 
     def test_steady_state_sums_to_one(self, paper_environment):
         assert paper_environment.steady_state.sum() == pytest.approx(1.0)
-
-    def test_mean_operative_servers_consistency(self, paper_environment):
-        """N * eta/(xi+eta) equals the environment-chain expectation (Eq. 11 input)."""
-        assert paper_environment.mean_operative_servers == pytest.approx(
-            paper_environment.mean_operative_servers_from_steady_state, rel=1e-9
-        )
 
     def test_exponential_periods_give_binomial_occupancy(self):
         """With exponential periods, each server is independently up with
         probability eta/(xi+eta), so the number of operative servers is
         binomial."""
         xi, eta = 0.5, 2.0
-        environment = BreakdownEnvironment(
-            num_servers=3,
-            operative=Exponential(rate=xi),
-            inoperative=Exponential(rate=eta),
-        )
+        environment = ScenarioEnvironment([(3, Exponential(rate=xi), Exponential(rate=eta))])
         availability = eta / (xi + eta)
         steady = environment.steady_state
         counts = environment.operative_counts
         for up in range(4):
-            probability = sum(
-                steady[i] for i in range(environment.num_modes) if counts[i] == up
-            )
-            from math import comb
-
+            probability = steady[counts == up].sum()
             expected = comb(3, up) * availability**up * (1 - availability) ** (3 - up)
             assert probability == pytest.approx(expected, rel=1e-8)
 
 
-class TestCTMCUtilities:
+def _brute_force_rates(groups, repair_capacity) -> np.ndarray:
+    """``A`` built mode by mode from the per-group phase moves (reference)."""
+    environment = ScenarioEnvironment(groups, repair_capacity=repair_capacity)
+    phases = []
+    for _, operative, inoperative in groups:
+        alpha, xi = (
+            (operative.weights, operative.rates)
+            if isinstance(operative, HyperExponential)
+            else (np.array([1.0]), np.array([operative.rate]))
+        )
+        phases.append((alpha, xi, np.array([1.0]), np.array([inoperative.rate])))
+    size = environment.num_modes
+    matrix = np.zeros((size, size))
+    for source, mode in enumerate(environment.modes):
+        broken = environment.num_servers - sum(sum(operative) for operative, _ in mode)
+        share = min(broken, environment.repair_capacity) / broken if broken else 1.0
+        for position, (operative, inoperative) in enumerate(mode):
+            alpha, xi, beta, eta = phases[position]
+            for j in range(alpha.size):
+                for k in range(beta.size):
+                    moved = list(mode)
+                    up, down = list(operative), list(inoperative)
+                    if operative[j]:
+                        up[j] -= 1
+                        down[k] += 1
+                        moved[position] = (tuple(up), tuple(down))
+                        target = environment.mode_of(tuple(moved))
+                        matrix[source, target] += operative[j] * xi[j] * beta[k]
+                    up, down = list(operative), list(inoperative)
+                    if inoperative[k]:
+                        up[j] += 1
+                        down[k] -= 1
+                        moved[position] = (tuple(up), tuple(down))
+                        target = environment.mode_of(tuple(moved))
+                        matrix[source, target] += inoperative[k] * eta[k] * alpha[j] * share
+    return matrix
+
+
+class TestMultiGroupAssembly:
+    @pytest.mark.parametrize("repair_capacity", [None, 1, 2])
+    def test_index_arithmetic_matches_brute_force(self, repair_capacity):
+        groups = [
+            (2, HyperExponential(weights=[0.7, 0.3], rates=[0.1, 0.02]), Exponential(rate=10.0)),
+            (2, Exponential(rate=0.08), Exponential(rate=4.0)),
+            (1, Exponential(rate=0.2), Exponential(rate=1.5)),
+        ]
+        environment = ScenarioEnvironment(groups, repair_capacity=repair_capacity)
+        np.testing.assert_allclose(
+            environment.transition_matrix,
+            _brute_force_rates(groups, repair_capacity),
+            rtol=1e-15,
+            atol=0.0,
+        )
+
+
+class TestDenseSteadyState:
     def test_steady_state_two_state_chain(self):
         generator = np.array([[-1.0, 1.0], [2.0, -2.0]])
         pi = steady_state_from_generator(generator)
         np.testing.assert_allclose(pi, [2.0 / 3.0, 1.0 / 3.0])
 
-    def test_steady_state_sparse_matches_dense(self):
-        generator = np.array(
-            [[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5], [1.0, 1.0, -2.0]]
-        )
+    def test_sparse_kernel_matches_dense(self):
+        generator = np.array([[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5], [1.0, 1.0, -2.0]])
         dense = steady_state_from_generator(generator)
-        sparse = steady_state_sparse(scipy.sparse.csr_matrix(generator))
+        sparse = steady_state_csr(scipy.sparse.csr_matrix(generator))
         np.testing.assert_allclose(dense, sparse, atol=1e-10)
 
     def test_non_square_rejected(self):
         with pytest.raises(SolverError):
             steady_state_from_generator(np.ones((2, 3)))
-
-    def test_validate_generator_accepts_valid(self):
-        validate_generator(np.array([[-1.0, 1.0], [2.0, -2.0]]))
-
-    def test_validate_generator_rejects_positive_diagonal(self):
-        with pytest.raises(SolverError):
-            validate_generator(np.array([[1.0, -1.0], [2.0, -2.0]]))
-
-    def test_validate_generator_rejects_bad_row_sums(self):
-        with pytest.raises(SolverError):
-            validate_generator(np.array([[-1.0, 2.0], [2.0, -2.0]]))
-
-    def test_embedded_jump_chain(self):
-        generator = np.array([[-2.0, 2.0], [1.0, -1.0]])
-        jump = embedded_jump_chain(generator)
-        np.testing.assert_allclose(jump, [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_mean_holding_times(self):
-        generator = np.array([[-2.0, 2.0], [4.0, -4.0]])
-        np.testing.assert_allclose(mean_holding_times(generator), [0.5, 0.25])
 
     def test_single_state_chain(self):
         np.testing.assert_allclose(steady_state_from_generator(np.array([[0.0]])), [1.0])

@@ -14,8 +14,8 @@ import pytest
 import scipy.sparse
 
 from repro.exceptions import ParameterError, SolverError
-from repro.markov.ctmc import steady_state_from_generator
 from repro.markov.kernels import (
+    steady_state_from_generator,
     LevelModeStructure,
     UniformizedOperator,
     _steady_state_iad,
@@ -140,11 +140,8 @@ class TestSteadyStateCsr:
         # that pivot and pick another (regression: the service's default
         # model raised "sums to zero").
         from repro.distributions import Exponential, HyperExponential
-        from repro.queueing.ctmc_reference import (
-            build_truncated_generator,
-            default_truncation_level,
-        )
         from repro.queueing.model import UnreliableQueueModel
+        from repro.scenarios.ctmc import build_truncated_generator, default_truncation_level
 
         model = UnreliableQueueModel(
             num_servers=6,

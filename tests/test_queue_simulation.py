@@ -1,4 +1,8 @@
-"""Tests of the unreliable-queue simulator, including validation against theory."""
+"""Tests of the homogeneous-queue simulation, including validation against theory.
+
+The paper's model is simulated as its ``K = 1, R = N`` scenario, so these
+tests drive :class:`~repro.simulation.ScenarioSimulator` on one group.
+"""
 
 from __future__ import annotations
 
@@ -7,21 +11,44 @@ import pytest
 
 from repro.distributions import Deterministic, Exponential, HyperExponential
 from repro.exceptions import SimulationError
-from repro.queueing import UnreliableQueueModel, mm1_mean_queue_length, mmc_metrics
-from repro.simulation import UnreliableQueueSimulator, simulate_queue
+from repro.queueing import (
+    UnreliableQueueModel,
+    mm1_mean_queue_length,
+    mmc_metrics,
+    sun_fitted_model,
+)
+from repro.scenarios import ScenarioModel
+from repro.simulation import ScenarioSimulator, simulate_queue
 
 
-def _simulator(**overrides) -> UnreliableQueueSimulator:
-    parameters = dict(
+def _simulator(
+    *,
+    seed: int = 11,
+    operative=Exponential(rate=0.05),
+    inoperative=Exponential(rate=1.0),
+) -> ScenarioSimulator:
+    model = UnreliableQueueModel(
         num_servers=2,
         arrival_rate=1.0,
-        service_distribution=Exponential(rate=1.0),
-        operative_distribution=Exponential(rate=0.05),
-        inoperative_distribution=Exponential(rate=1.0),
-        seed=11,
+        service_rate=1.0,
+        operative=operative,
+        inoperative=inoperative,
     )
-    parameters.update(overrides)
-    return UnreliableQueueSimulator(**parameters)
+    return ScenarioSimulator(ScenarioModel.from_homogeneous(model), seed=seed)
+
+
+class _BreakdownAudit(ScenarioSimulator):
+    """Counts breakdowns after which a job waits beside an idle operative server."""
+
+    breakdowns = 0
+    violations = 0
+
+    def _handle_breakdown(self, server) -> None:
+        super()._handle_breakdown(server)
+        self.breakdowns += 1
+        waiting = self.num_jobs_in_system - self.num_busy_servers
+        if waiting > 0 and self.idle_operative_rates():
+            self.violations += 1
 
 
 class TestSimulatorMechanics:
@@ -78,11 +105,21 @@ class TestSimulatorMechanics:
 
     def test_deterministic_periods_supported(self):
         simulator = _simulator(
-            operative_distribution=Deterministic(value=20.0),
-            inoperative_distribution=Deterministic(value=1.0),
+            operative=Deterministic(value=20.0),
+            inoperative=Deterministic(value=1.0),
         )
         simulator.run(300.0)
         assert len(simulator.completed_jobs()) > 100
+
+    def test_preempted_job_restarts_on_an_idle_server(self):
+        """Work conservation holds after every breakdown, not only on arrivals:
+        a job preempted by a breakdown moves at once to an idle operative
+        server if there is one."""
+        model = sun_fitted_model(3, 1.0, repair_rate=0.5)
+        simulator = _BreakdownAudit(ScenarioModel.from_homogeneous(model), seed=1)
+        simulator.run(200_000.0)
+        assert simulator.breakdowns > 10_000
+        assert simulator.violations == 0
 
 
 class TestSimulateQueueEstimates:

@@ -23,7 +23,7 @@ from repro.exceptions import (
     UnstableQueueError,
     UnsupportedScenarioError,
 )
-from repro.markov import BreakdownEnvironment, ScenarioEnvironment
+from repro.markov import ScenarioEnvironment
 from repro.queueing import UnreliableQueueModel
 from repro.scenarios import (
     SCENARIO_PRESETS,
@@ -149,6 +149,33 @@ class TestScenarioModel:
         assert capacities[3, all_up] == pytest.approx(3.5)
         assert capacities[4, all_up] == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("repair_capacity", [None, 1])
+    def test_service_capacity_by_level_matches_the_per_mode_loop(self, repair_capacity):
+        scenario = ScenarioModel(
+            groups=(
+                ServerGroup("mid", 2, 0.7, OPERATIVE, REPAIR),
+                ServerGroup("fast", 3, 1.3, Exponential(rate=0.1), Exponential(rate=5.0)),
+                ServerGroup("slow", 2, 0.45, Exponential(rate=0.05), Exponential(rate=2.0)),
+            ),
+            arrival_rate=1.0,
+            repair_capacity=repair_capacity,
+        )
+        counts = scenario.environment.operative_counts_by_group
+        order = np.argsort(-np.asarray(scenario.service_rates), kind="stable")
+        expected = np.zeros((scenario.num_servers + 1, scenario.environment.num_modes))
+        for mode in range(scenario.environment.num_modes):
+            rates = [
+                scenario.groups[position].service_rate
+                for position in order
+                for _ in range(int(counts[mode, position]))
+            ]
+            cumulative = np.cumsum([0.0, *rates])
+            for level in range(scenario.num_servers + 1):
+                expected[level, mode] = cumulative[min(level, len(rates))]
+        np.testing.assert_allclose(
+            scenario.service_capacity_by_level, expected, rtol=1e-14, atol=0.0
+        )
+
     def test_solution_key_separates_distinct_scenarios(self):
         base = _two_group_scenario()
         assert base.solution_key() != base.with_repair_capacity(1).solution_key()
@@ -168,17 +195,24 @@ class TestScenarioEnvironment:
         assert environment.group_sizes == (2, 2)
 
     def test_reduces_to_homogeneous_environment(self):
-        homogeneous = BreakdownEnvironment(
-            num_servers=3, operative=OPERATIVE, inoperative=REPAIR
+        model = UnreliableQueueModel(
+            num_servers=3,
+            arrival_rate=1.0,
+            service_rate=1.0,
+            operative=OPERATIVE,
+            inoperative=REPAIR,
         )
         scenario = ScenarioEnvironment(groups=[(3, OPERATIVE, REPAIR)])
-        assert scenario.num_modes == homogeneous.num_modes
-        assert [(mode,) for mode in homogeneous.modes] == scenario.modes
-        np.testing.assert_allclose(
-            scenario.transition_matrix, homogeneous.transition_matrix
+        assert scenario.num_modes == model.num_modes
+        assert scenario.modes == model.environment.modes
+        np.testing.assert_array_equal(
+            scenario.transition_matrix, model.environment.transition_matrix
         )
-        np.testing.assert_allclose(scenario.steady_state, homogeneous.steady_state)
-        assert scenario.availability == pytest.approx(homogeneous.availability)
+        assert scenario.availability == pytest.approx(model.availability)
+        np.testing.assert_array_equal(
+            ScenarioModel.from_homogeneous(model).service_capacity_by_level,
+            model.service_capacity_by_level,
+        )
 
     def test_repair_rates_scale_with_crew_limit(self):
         unlimited = ScenarioEnvironment(groups=[(3, Exponential(rate=0.5), REPAIR)])

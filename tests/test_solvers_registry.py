@@ -70,6 +70,8 @@ def _legacy_evaluate(model: UnreliableQueueModel, policy: SolverPolicy):
                 metrics = {
                     "mean_queue_length": solution.mean_queue_length,
                     "mean_response_time": solution.mean_response_time,
+                    "utilisation": solution.utilisation,
+                    "num_solved_states": solution.num_solved_states,
                 }
             elif solver == "simulate":
                 estimate = model.simulate(
@@ -416,52 +418,25 @@ class TestSolveMany:
         assert parallel_cache.stats()["solves"] == 3
 
 
-class TestRepresentationPolicy:
-    def test_policy_validates_the_representation(self):
-        assert SolverPolicy().representation == "auto"
-        assert SolverPolicy(representation="product").representation == "product"
-        with pytest.raises(ParameterError, match="unknown representation"):
-            SolverPolicy(representation="dense")
+class TestOneCTMCPath:
+    def test_ctmc_solver_takes_no_policy_options(self):
+        assert get_solver("ctmc").options_from_policy(SolverPolicy()) == {}
 
-    def test_with_representation_returns_an_updated_copy(self):
-        policy = SolverPolicy(order=("ctmc",))
-        product = policy.with_representation("product")
-        assert product.representation == "product"
-        assert product.order == policy.order
-        assert policy.representation == "auto"
+    def test_homogeneous_outcome_matches_its_single_group_scenario(self):
+        from repro.scenarios import ScenarioModel
 
-    def test_ctmc_solver_forwards_a_non_auto_representation(self):
-        ctmc = get_solver("ctmc")
-        assert ctmc.options_from_policy(SolverPolicy()) == {}
-        assert ctmc.options_from_policy(SolverPolicy(representation="lumped")) == {
-            "representation": "lumped"
+        model = sun_fitted_model(num_servers=3, arrival_rate=1.5)
+        homogeneous = evaluate(model, SolverPolicy(order=("ctmc",)))
+        scenario = evaluate(ScenarioModel.from_homogeneous(model), SolverPolicy(order=("ctmc",)))
+        assert homogeneous.solver == scenario.solver == "ctmc"
+        assert homogeneous.metrics == scenario.metrics
+        assert set(homogeneous.metrics) == {
+            "mean_queue_length",
+            "mean_response_time",
+            "utilisation",
+            "num_solved_states",
         }
-
-    def test_product_policy_solves_scenarios_and_matches_lumped(self):
-        from repro.scenarios import scenario_preset
-
-        scenario = scenario_preset("single-repairman")
-        lumped = evaluate(scenario, SolverPolicy(order=("ctmc",)))
-        product = evaluate(scenario, SolverPolicy(order=("ctmc",), representation="product"))
-        assert product.solver == "ctmc"
-        assert product.metrics["num_solved_states"] > lumped.metrics["num_solved_states"]
-        assert product.metrics["mean_queue_length"] == pytest.approx(
-            lumped.metrics["mean_queue_length"], abs=1e-10
-        )
-
-    def test_product_policy_rejected_for_homogeneous_models_with_fallback(self):
-        model = sun_fitted_model(num_servers=3, arrival_rate=1.5)
-        policy = SolverPolicy(order=("ctmc", "simulate"), representation="product")
-        outcome = evaluate(model, policy)
-        # The ctmc backend raises UnsupportedScenarioError, so fallback
-        # chains skip past it to the simulator instead of dying.
-        assert outcome.solver == "simulate"
-
-    def test_product_policy_alone_fails_for_homogeneous_models(self):
-        model = sun_fitted_model(num_servers=3, arrival_rate=1.5)
-        outcome = evaluate(model, SolverPolicy(order=("ctmc",), representation="product"))
-        assert outcome.solver is None
-        assert "no lumping to undo" in outcome.error
+        assert homogeneous.metrics["utilisation"] == pytest.approx(0.5, rel=1e-6)
 
 
 class TestWarmStartedSweeps:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.distributions import Exponential, HyperExponential
 from repro.exceptions import SolverError
-from repro.markov import BreakdownEnvironment
+from repro.markov import ScenarioEnvironment
 from repro.spectral import (
     ModulatedQueueMatrices,
     eigenvalues_inside_unit_disk,
@@ -19,11 +19,8 @@ from repro.spectral.eigen import refine_eigenpair
 
 
 def _matrices(num_servers=2, arrival_rate=1.0) -> ModulatedQueueMatrices:
-    environment = BreakdownEnvironment(
-        num_servers=num_servers,
-        operative=HyperExponential(weights=[0.6, 0.4], rates=[0.2, 0.02]),
-        inoperative=Exponential(rate=2.0),
-    )
+    operative = HyperExponential(weights=[0.6, 0.4], rates=[0.2, 0.02])
+    environment = ScenarioEnvironment([(num_servers, operative, Exponential(rate=2.0))])
     return ModulatedQueueMatrices(environment, arrival_rate=arrival_rate, service_rate=1.0)
 
 

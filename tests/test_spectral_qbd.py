@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from repro.distributions import Exponential, HyperExponential
-from repro.markov import BreakdownEnvironment
+from repro.markov import ScenarioEnvironment
 from repro.spectral import ModulatedQueueMatrices
 
 
 @pytest.fixture
 def example_matrices() -> ModulatedQueueMatrices:
-    environment = BreakdownEnvironment(
-        num_servers=2,
-        operative=HyperExponential(weights=[0.6, 0.4], rates=[0.5, 0.05]),
-        inoperative=Exponential(rate=2.0),
+    environment = ScenarioEnvironment(
+        [(2, HyperExponential(weights=[0.6, 0.4], rates=[0.5, 0.05]), Exponential(rate=2.0))]
     )
     return ModulatedQueueMatrices(environment, arrival_rate=1.2, service_rate=1.0)
 

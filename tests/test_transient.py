@@ -200,22 +200,25 @@ class TestTransientSolution:
         assert payload["truncation_level"] == solution.truncation_level
         assert len(payload["rows"]) == 2
 
-    def test_solution_reports_its_representation_and_state_space(self, tmp_path):
+    def test_solution_reports_its_state_space(self, tmp_path):
         import json
 
         solution = solve_transient(_legacy_model(), (1.0,))
-        assert solution.representation == "lumped"
         expected = (solution.truncation_level + 1) * solution.num_modes
         assert solution.num_solved_states == expected
         payload = json.loads(solution.to_json(tmp_path / "transient.json"))
-        assert payload["representation"] == "lumped"
         assert payload["num_solved_states"] == expected
+        assert "representation" not in payload
 
-    def test_product_representation_rejected_for_homogeneous_models(self):
-        with pytest.raises(ParameterError, match="no lumping to undo"):
-            solve_transient(_legacy_model(), (1.0,), representation="product")
-        with pytest.raises(ParameterError, match="representation"):
-            solve_transient(_legacy_model(), (1.0,), representation="dense")
+    def test_homogeneous_model_sweeps_its_single_group_scenario_chain(self):
+        from repro.scenarios import ScenarioModel
+
+        model = _legacy_model()
+        scenario = ScenarioModel.from_homogeneous(model)
+        direct = solve_transient(model, (1.0, 5.0))
+        as_scenario = solve_transient(scenario, (1.0, 5.0))
+        assert direct.truncation_level == as_scenario.truncation_level
+        np.testing.assert_array_equal(direct.distribution_at(5.0), as_scenario.distribution_at(5.0))
 
     def test_unstable_model_rejected(self):
         with pytest.raises(UnstableQueueError):

@@ -23,6 +23,8 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
+from repro.blas import blas_runtime
+
 #: Padding applied when recording a baseline, so machine noise and CI runners
 #: slower than the recording machine do not trip the regression gate (together
 #: with the default 2x factor this gives ~4x headroom over the measured time).
@@ -84,9 +86,14 @@ def run_benchmarks(
 
 
 def write_results(path: Path, records: dict[str, dict[str, object]], *, quick: bool) -> None:
-    """Write one timing JSON (the artifact CI uploads, and the baseline format)."""
+    """Write one timing JSON (the artifact CI uploads, and the baseline format).
+
+    The record carries the BLAS runtime it was measured on: thread settings
+    change small dense solves by an order of magnitude.
+    """
     payload = {
         "mode": "quick" if quick else "full",
+        "runtime": blas_runtime(),
         "benchmarks": records,
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")

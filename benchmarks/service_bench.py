@@ -58,6 +58,8 @@ from urllib.parse import urlparse
 
 from _harness import BASELINE_PADDING, bench_main, child_peak_rss_mb, peak_rss_mb
 
+from repro.blas import blas_runtime
+
 #: Closed-loop concurrency levels tracked by CI.
 CONCURRENCY_LEVELS = (1, 8, 32)
 
@@ -368,6 +370,7 @@ def sustained_main(argv: list[str]) -> int:
         # (the hungriest one); peak_rss_mb is this driver/front process.
         "peak_rss_mb": round(peak_rss_mb(), 1),
         "child_peak_rss_mb": round(child_peak_rss_mb(), 1),
+        "runtime": blas_runtime(),
     }
     print(
         f"    scheduled {record['scheduled']}, completed {record['completed']}, "
@@ -398,6 +401,7 @@ def sustained_main(argv: list[str]) -> int:
             "achieved_rps": round(record["achieved_rps"] / BASELINE_PADDING, 2),
             "p99_ms": round(record["p99_ms"] * BASELINE_PADDING, 2),
             "shed_rate": round(min(1.0, record["shed_rate"] * BASELINE_PADDING), 4),
+            "runtime": record["runtime"],
         }
         Path(args.update_baseline).write_text(json.dumps(baseline, indent=2) + "\n")
         print(f"updated baseline {args.update_baseline}")

@@ -39,6 +39,9 @@ Subpackages
     Operational-mode enumeration, the Markovian environment, CTMC solvers.
 :mod:`repro.spectral`
     The spectral-expansion solver and the geometric approximation.
+:mod:`repro.blas`
+    The one-BLAS-thread scope every spectral solve runs in, and the BLAS
+    runtime report.
 :mod:`repro.queueing`
     The model front end, the truncated-CTMC reference solver and M/M/c
     baselines.

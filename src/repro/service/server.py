@@ -10,7 +10,8 @@ these endpoints:
 ``GET /healthz``
     Liveness: ``{"status": "ok", "uptime_seconds": ..., "version": ...}``
     plus the current queue depth, so load balancers can shed before the
-    admission controller has to.
+    admission controller has to, and the ``runtime`` block of
+    :func:`repro.blas.blas_runtime` (CPUs and the BLAS thread counts).
 ``GET /stats``
     The full observability payload: uptime, scheduler counters (queue depth,
     coalesced/batched/rejected totals) and the solution-cache statistics.
@@ -56,6 +57,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import package_version
+from ..blas import blas_runtime
 from ..exceptions import CachePersistenceError
 from ..obs import (
     MetricsRegistry,
@@ -534,12 +536,19 @@ class SolverService:
             "traces": [retained.to_dict() for retained in listed],
         }
 
-    async def _healthz_payload(self) -> dict:
-        """The liveness payload (async so the sharded tier can poll workers)."""
+    def _healthz_base(self) -> dict:
+        """The ``/healthz`` keys every tier reports: liveness, version, runtime."""
         return {
             "status": "ok",
             "version": package_version(),
             "uptime_seconds": round(time.monotonic() - (self._started_monotonic or 0.0), 3),
+            "runtime": blas_runtime(),
+        }
+
+    async def _healthz_payload(self) -> dict:
+        """The liveness payload (async so the sharded tier can poll workers)."""
+        return {
+            **self._healthz_base(),
             "queue_depth": self.scheduler.queue_depth,
             "max_queue": self.scheduler.max_queue,
         }
@@ -572,7 +581,7 @@ class SolverService:
         return registry.render()
 
     def _front_metrics(self, registry: MetricsRegistry) -> None:
-        """Front-process series every tier exposes: HTTP, uptime, traces."""
+        """Front-process series every tier exposes: HTTP, uptime, traces, runtime."""
         registry.counter("repro_http_responses_total", "HTTP responses written.").inc(
             float(self._responses_total)
         )
@@ -599,6 +608,22 @@ class SolverService:
             "Traces retained as periodic exemplars regardless of latency.",
         ).inc(float(self.traces.exemplar_total))
         self.slo.export_into(registry)
+        runtime = blas_runtime()
+        for library in runtime["libraries"]:
+            registry.gauge(
+                "repro_runtime_info",
+                "BLAS libraries whose threads the spectral solves control (always 1).",
+                labels={"library": library["library"], "config": library["config"]},
+            ).set(1.0)
+        solve = runtime["solve_threads"]
+        if solve is not None:
+            ambient = max(library["threads"] for library in runtime["libraries"])
+            for scope, count in (("ambient", ambient), ("solve", solve)):
+                registry.gauge(
+                    "repro_blas_threads",
+                    "BLAS threads outside (ambient) and inside (solve) spectral solves.",
+                    labels={"scope": scope},
+                ).set(float(count))
 
 
 def _parse_traces_query(query_string: str) -> tuple[bool, int]:

@@ -675,8 +675,7 @@ class ShardedService(SolverService):
 
     async def _healthz_payload(self) -> dict:
         return {
-            "status": "ok",
-            "uptime_seconds": round(time.monotonic() - (self._started_monotonic or 0.0), 3),
+            **self._healthz_base(),
             "workers": self.config.workers,
             "workers_ready": sum(1 for handle in self._handles if handle.state == "ready"),
             "queue_depth": sum(len(handle.pending) for handle in self._handles),

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import os
 import time
 import warnings
 from collections.abc import Iterable, Sequence
 from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import TYPE_CHECKING
 
+from ..blas import usable_cpus
 from ..exceptions import ParameterError, SimulationError, SolverError
 from ..obs.metrics import MetricsRegistry, numerics_registry
 from ..obs.profiling import AttemptRecord, capture_attempts, record_attempt
@@ -396,10 +396,7 @@ def _pool_probe() -> bool:
 
 def default_max_workers() -> int:
     """The default worker count: the CPUs this process may actually use."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return max(1, os.cpu_count() or 1)
+    return usable_cpus()
 
 
 def _execute_parallel(

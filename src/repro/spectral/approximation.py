@@ -33,6 +33,7 @@ from functools import cached_property
 import numpy as np
 import scipy.optimize
 
+from ..blas import single_threaded_blas
 from ..exceptions import SolverError
 from ..queueing.model import UnreliableQueueModel
 from ..queueing.solution_base import QueueSolution
@@ -44,6 +45,7 @@ from .eigen import (
 from .qbd import ModulatedQueueMatrices
 
 
+@single_threaded_blas()
 def decay_rate_bisection(
     matrices: ModulatedQueueMatrices,
     *,
@@ -103,6 +105,7 @@ def decay_rate_bisection(
     return float(root)
 
 
+@single_threaded_blas()
 def decay_rate_from_eigensystem(matrices: ModulatedQueueMatrices) -> float:
     """The dominant eigenvalue obtained from the full quadratic eigenproblem."""
     eigensystem = eigenvalues_inside_unit_disk(
@@ -201,6 +204,7 @@ class GeometricSolution(QueueSolution):
         )
 
 
+@single_threaded_blas()
 def solve_geometric(
     model: UnreliableQueueModel, *, method: str = "bisection"
 ) -> GeometricSolution:

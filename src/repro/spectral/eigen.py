@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ..blas import single_threaded_blas
 from ..exceptions import SolverError
 
 #: Eigenvalues with modulus below this threshold times machine epsilon of the
@@ -244,6 +245,7 @@ def solve_quadratic_eigenproblem(
     return eigenvalues, left_vectors
 
 
+@single_threaded_blas()
 def eigenvalues_inside_unit_disk(
     q0: np.ndarray,
     q1: np.ndarray,

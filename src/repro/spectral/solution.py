@@ -32,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ..blas import single_threaded_blas
 from ..exceptions import SolverError
 from ..queueing.model import UnreliableQueueModel
 from ..queueing.solution_base import QueueSolution
@@ -367,6 +368,7 @@ def _solve_boundary_system(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
+@single_threaded_blas()
 def solve_spectral(model: UnreliableQueueModel) -> SpectralSolution:
     """Solve an :class:`UnreliableQueueModel` exactly by spectral expansion.
 

@@ -4,8 +4,8 @@ The harness lives outside the installable package (it is CI tooling, not
 library code), so it is loaded here by file path.  These tests pin the record
 format the CI bench job and its uploaded artifacts rely on: best-of-repeats
 ``seconds``, the ``peak_rss_mb`` high-water mark, workload metadata merged
-into the record, and a baseline gate that compares *seconds only* while
-ignoring (but preserving) the metadata.
+into the record, the BLAS runtime it ran on, and a baseline gate that
+compares *seconds only* while ignoring (but preserving) the metadata.
 """
 
 from __future__ import annotations
@@ -132,3 +132,5 @@ class TestBenchMain:
         written = json.loads(output.read_text())
         assert "seconds" in written["benchmarks"]["bench"]
         assert "peak_rss_mb" in written["benchmarks"]["bench"]
+        assert written["runtime"] == harness.blas_runtime()
+        assert json.loads(baseline.read_text())["runtime"] == written["runtime"]

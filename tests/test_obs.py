@@ -21,6 +21,8 @@ import time
 
 import pytest
 
+from repro import package_version
+from repro.blas import blas_runtime
 from repro.exceptions import ParameterError
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -487,6 +489,26 @@ def _metric_values(text: str, name: str) -> dict[str, float]:
     return values
 
 
+def _assert_runtime_reported(health: dict, text: str) -> None:
+    """The ``/healthz`` keys and ``/metrics`` runtime series every tier shares."""
+    runtime = blas_runtime()
+    assert health["status"] == "ok"
+    assert health["version"] == package_version()
+    assert health["uptime_seconds"] >= 0
+    assert health["runtime"] == runtime
+    info = _metric_values(text, "repro_runtime_info")
+    assert len(info) == len(runtime["libraries"])
+    for entry in runtime["libraries"]:
+        library = entry["library"]
+        assert any(f'library="{library}"' in labels for labels in info)
+    threads = _metric_values(text, "repro_blas_threads")
+    if runtime["controlled"]:
+        ambient = max(entry["threads"] for entry in runtime["libraries"])
+        assert threads == {'{scope="ambient"}': ambient, '{scope="solve"}': 1.0}
+    else:
+        assert threads == {}
+
+
 class TestServiceMetricsEndpoint:
     def test_single_process_metrics_agree_with_stats(self):
         config = ServiceConfig(port=0, batch_window=0.002)
@@ -499,7 +521,10 @@ class TestServiceMetricsEndpoint:
                     assert re.fullmatch(r"[0-9a-f]{16}", payload["trace_id"])
                 stats = client.stats()
                 status, text = client.metrics()
+                health = client.healthz().payload
         assert status == 200
+        _assert_runtime_reported(health, text)
+        assert health["queue_depth"] == 0
         requests_total = stats.payload["scheduler"]["requests_total"]
         counts = _metric_values(text, "repro_solve_latency_seconds_count")
         assert sum(counts.values()) == requests_total
@@ -533,7 +558,10 @@ class TestServiceMetricsEndpoint:
                     )
                 stats = client.stats()
                 status, text = client.metrics()
+                health = client.healthz().payload
         assert status == 200
+        _assert_runtime_reported(health, text)
+        assert health["workers_ready"] == 2
         assert stats.payload["workers"] == 2
         requests_total = stats.payload["totals"]["requests_total"]
         counts = _metric_values(text, "repro_solve_latency_seconds_count")

@@ -21,6 +21,8 @@ import time
 
 import pytest
 
+from repro import package_version
+from repro.blas import blas_runtime
 from repro.queueing import sun_fitted_model
 from repro.service import (
     DEFAULT_SHED_THRESHOLDS,
@@ -278,6 +280,9 @@ class TestShardedRouting:
             payload = client.healthz().payload
         assert payload["workers"] == 4
         assert payload["workers_ready"] == 4
+        # The keys both tiers build from one helper.
+        assert payload["version"] == package_version()
+        assert payload["runtime"] == blas_runtime()
 
 
 class TestShardedTraceAPI:
@@ -398,8 +403,9 @@ class TestCrashRecovery:
                 status, text = client.metrics()
         assert status == 200
         for scraped in texts + [text]:
+            # The value is the last field; label values may contain spaces.
             series = [
-                line.split(" ")[0]
+                line.rsplit(" ", 1)[0]
                 for line in scraped.splitlines()
                 if line and not line.startswith("#")
             ]

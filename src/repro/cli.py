@@ -138,7 +138,9 @@ endpoints:
                  unknown-preset, unstable-model, queue-full (429 +
                  Retry-After), load-shed (429, sharded tier), worker-crashed
                  (503, retryable), deadline-exceeded (504), solve-failed.
-  GET /healthz   liveness + current queue depth (and, sharded, workers ready)
+  GET /healthz   liveness, version, current queue depth (and, sharded,
+                 workers ready) and the BLAS runtime: usable CPUs, the
+                 controlled OpenBLAS libraries and their thread counts
   GET /stats     uptime, scheduler counters (coalesced/batched/rejected)
                  and solution-cache statistics; with --workers N > 1 also
                  per-shard breakdowns, pool totals and shedding counters

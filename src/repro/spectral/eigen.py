@@ -216,6 +216,21 @@ def refine_eigenpair(
     return z, vector
 
 
+def _companion_pencil(
+    q0: np.ndarray, q1: np.ndarray, q2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The companion linearisation ``(lhs, rhs)`` of the transposed polynomial."""
+    size = q0.shape[0]
+    for name, matrix in (("Q0", q0), ("Q1", q1), ("Q2", q2)):
+        if matrix.shape != (size, size):
+            raise SolverError(f"{name} must be {size}x{size}, got {matrix.shape}")
+    zero = np.zeros((size, size))
+    identity = np.eye(size)
+    lhs = np.block([[zero, identity], [-q0.T, -q1.T]])
+    rhs = np.block([[identity, zero], [zero, q2.T]])
+    return lhs, rhs
+
+
 def solve_quadratic_eigenproblem(
     q0: np.ndarray, q1: np.ndarray, q2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -228,20 +243,11 @@ def solve_quadratic_eigenproblem(
         left eigenvectors of ``Q(z)`` (rows).  No unit-disk filtering is done
         here; see :func:`eigenvalues_inside_unit_disk`.
     """
-    size = q0.shape[0]
-    for name, matrix in (("Q0", q0), ("Q1", q1), ("Q2", q2)):
-        if matrix.shape != (size, size):
-            raise SolverError(f"{name} must be {size}x{size}, got {matrix.shape}")
-    zero = np.zeros((size, size))
-    identity = np.eye(size)
-    # Companion linearisation of the transposed polynomial.
-    lhs = np.block([[zero, identity], [-q0.T, -q1.T]])
-    rhs = np.block([[identity, zero], [zero, q2.T]])
-    eigenvalues, eigenvectors = scipy.linalg.eig(lhs, rhs)
+    eigenvalues, eigenvectors = scipy.linalg.eig(*_companion_pencil(q0, q1, q2))
     finite = np.isfinite(eigenvalues)
     eigenvalues = eigenvalues[finite]
     eigenvectors = eigenvectors[:, finite]
-    left_vectors = eigenvectors[:size, :].T  # w = u^T occupies the top block
+    left_vectors = eigenvectors[: q0.shape[0], :].T  # w = u^T occupies the top block
     return eigenvalues, left_vectors
 
 
@@ -271,7 +277,8 @@ def eigenvalues_inside_unit_disk(
     SolverError
         If the eigenvalue count cannot be reconciled with ``expected_count``.
     """
-    eigenvalues, left_vectors = solve_quadratic_eigenproblem(q0, q1, q2)
+    eigenvalues = scipy.linalg.eigvals(*_companion_pencil(q0, q1, q2))
+    eigenvalues = eigenvalues[np.isfinite(eigenvalues)]
     moduli = np.abs(eigenvalues)
     inside = moduli < 1.0 - _UNIT_DISK_TOLERANCE
     selected = np.where(inside)[0]
@@ -294,10 +301,10 @@ def eigenvalues_inside_unit_disk(
     chosen_values = chosen_values[order]
 
     # The eigenvalues from the QZ decomposition are reliable, but the
-    # eigenvectors read off the companion linearisation lose accuracy badly
-    # when the rates span several orders of magnitude (stiff environments).
-    # Re-extract each left eigenvector from an SVD of Q(z_k), with a few
-    # Newton refinement steps on the eigenvalue itself.
+    # eigenvectors of the companion linearisation lose accuracy badly when
+    # the rates span several orders of magnitude (stiff environments), so QZ
+    # computes none.  Extract each left eigenvector from Q(z_k) instead, with
+    # a few Newton refinement steps on the eigenvalue itself when needed.
     size = q0.shape[0]
     refined_values = np.empty(chosen_values.size, dtype=complex)
     normalised = np.empty((chosen_values.size, size), dtype=complex)

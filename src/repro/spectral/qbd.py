@@ -102,16 +102,19 @@ class ModulatedQueueMatrices:
         """The arrival matrix ``B = lambda I``."""
         return self._arrival_rate * np.eye(self.num_modes)
 
+    def service_rates(self, level: int) -> np.ndarray:
+        """The diagonal ``min(x_i, j) mu`` of ``C_j`` for ``j = level``."""
+        level = check_non_negative_int(level, "level")
+        counts = self._environment.operative_counts
+        return np.minimum(counts, float(level)) * self._service_rate
+
     def service_matrix(self, level: int) -> np.ndarray:
         """The service matrix ``C_j`` for ``j = level`` jobs in the system.
 
         Diagonal with entries ``min(x_i, j) mu``; ``C_0`` is the zero matrix
         by definition and ``C_j = C`` for ``j >= N``.
         """
-        level = check_non_negative_int(level, "level")
-        counts = self._environment.operative_counts
-        busy_servers = np.minimum(counts, float(level))
-        return np.diag(busy_servers * self._service_rate)
+        return np.diag(self.service_rates(level))
 
     @cached_property
     def repeating_service_matrix(self) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Tour of the solver service: queries, coalescing, backpressure, stats.
 
 Embeds a :class:`~repro.service.ThreadedService` in-process (the same server
-``repro serve`` runs standalone), then demonstrates the serving features one
-by one: the three query kinds, cache-accelerated repeats, single-flight
-coalescing of a burst of identical requests, a deliberately missed deadline,
-and the ``/stats`` observability payload.
+``repro serve`` runs standalone, here with its one shard on the service's own
+event loop), then demonstrates the serving features one by one: the three
+query kinds, cache-accelerated repeats, single-flight coalescing of a burst
+of identical requests, a deliberately missed deadline, and the ``/stats``
+observability payload (totals, shedding and one entry per shard).
 
 Run with::
 
@@ -83,18 +84,20 @@ def missed_deadline(client: ServiceClient) -> None:
 def service_stats(client: ServiceClient) -> None:
     print("\n== /stats ==")
     payload = client.stats().payload
-    scheduler = payload["scheduler"]
-    cache = scheduler["cache"]
+    totals = payload["totals"]
     print(
-        f"  requests={scheduler['requests_total']}  "
-        f"coalesced={scheduler['coalesced_total']}  "
-        f"batches={scheduler['batches_total']}  "
-        f"rejected={scheduler['rejected_total']}"
+        f"  requests={totals['requests_total']}  "
+        f"coalesced={totals['coalesced_total']}  "
+        f"batches={totals['batches_total']}  "
+        f"rejected={totals['rejected_total']}  "
+        f"shed={payload['shedding']['shed_total']}"
     )
-    print(
-        f"  cache: solves={cache['solves']}  hits={cache['hits']}  "
-        f"hit_rate={cache['hit_rate']:.2f}  size={cache['size']}"
-    )
+    for entry in payload["shards"]:
+        cache = entry["scheduler"]["cache"]
+        print(
+            f"  shard {entry['shard']} cache: solves={cache['solves']}  hits={cache['hits']}  "
+            f"hit_rate={cache['hit_rate']:.2f}  size={cache['size']}"
+        )
 
 
 def main() -> None:

@@ -135,25 +135,26 @@ endpoints:
                  "stable", "metrics", "cached", "coalesced", "elapsed_ms"}.
                  Failure: {"status": "error", "error": {"code", "message"}}
                  with codes bad-json, bad-request, unknown-solver,
-                 unknown-preset, unstable-model, queue-full (429 +
-                 Retry-After), load-shed (429, sharded tier), worker-crashed
-                 (503, retryable), deadline-exceeded (504), solve-failed.
-  GET /healthz   liveness, version, current queue depth (and, sharded,
-                 workers ready) and the BLAS runtime: usable CPUs, the
-                 controlled OpenBLAS libraries and their thread counts
-  GET /stats     uptime, scheduler counters (coalesced/batched/rejected)
-                 and solution-cache statistics; with --workers N > 1 also
-                 per-shard breakdowns, pool totals and shedding counters
+                 unknown-preset, unstable-model, load-shed (429 +
+                 Retry-After, with shard and shed_tier), queue-full (429),
+                 worker-crashed (503, retryable), deadline-exceeded (504),
+                 solve-failed.  Answers name the "shard" that computed them.
+  GET /healthz   liveness, version, workers and workers ready, in-flight
+                 requests against their bound and the BLAS runtime: usable
+                 CPUs, the controlled OpenBLAS libraries and their threads
+  GET /stats     uptime, HTTP counters, shedding counters, one shards[]
+                 entry per shard (state, restarts, routed requests,
+                 scheduler and solution-cache counters) and their totals
   GET /metrics   Prometheus text exposition (version 0.0.4): per-shard
                  solve/queue-wait/cache-lookup latency histograms, the
                  scheduler, cache and front counters, solver numerical-health
                  series and the repro_slo_* gauges, all as repro_* series
   GET /traces    recently retained traces newest-first; ?slow=1 restricts to
                  the slow ring, ?limit=N bounds the count (default 32).
-                 Sharded fronts fan the listing out to every shard worker.
+                 The front fans the listing out to every shard.
   GET /traces/<id>  one retained trace's span tree (admission, queue-wait,
-                 solve, ...); sharded fronts merge the owning worker's spans
-                 into the front's re-based copy
+                 solve, ...); the front merges the owning shard's spans
+                 into its re-based copy
 
 observability:
   Every response carries an X-Trace-Id header and echoes the same id as
@@ -178,16 +179,18 @@ tuning:
   solve_many() batch (identical requests are always coalesced to a single
   computation regardless of the window).  Raise it when clients burst many
   distinct configurations; lower it (or use 0) for latency-sensitive,
-  low-concurrency traffic.  --max-queue bounds distinct pending
-  computations; beyond it requests are rejected with 429 queue-full.
+  low-concurrency traffic.  --max-queue bounds in-flight requests per
+  shard: the front sheds cheapest-to-recompute query kinds first as
+  in-flight requests reach 70, 85 and 100% of workers x max-queue, or a
+  shard's own max-queue (429 load-shed with shard and shed_tier).
 
-  --workers N > 1 starts the sharded tier: a front process consistent-hashes
-  each request's solution key onto one of N worker processes (per-shard
-  caches and coalescing stay exact), sheds cheapest-to-recompute query kinds
-  first as load approaches N x max-queue (429 load-shed with shard and
-  shed_tier), and restarts crashed workers under the same shard id.
-  --cache-dir persists each shard's cache across restarts (atomic JSON
-  snapshots, spilled every --spill-interval seconds and on SIGTERM).
+  --workers N sets the shard count: the front consistent-hashes each
+  request's solution key onto one of N shards (per-shard caches and
+  coalescing stay exact).  With 1 the shard runs in the front process; with
+  N > 1 each shard is a worker process, and a crashed worker restarts under
+  the same shard id.  --cache-dir persists each shard's cache across
+  restarts (atomic JSON snapshots, spilled every --spill-interval seconds
+  and on SIGTERM).
 """
 
 
@@ -441,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "serving tier: 1 = single process, N > 1 = consistent-hash sharded front "
-            "over N worker processes (default: %(default)s)"
+            "shard count: 1 = one shard in the front process, N > 1 = one worker "
+            "process per shard behind a consistent-hash front (default: %(default)s)"
         ),
     )
     serve.add_argument(
@@ -455,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-queue",
         type=int,
         default=256,
-        help="bound on distinct pending computations before 429 rejections (default: %(default)s)",
+        help="bound on in-flight requests per shard before 429 load-shed (default: %(default)s)",
     )
     serve.add_argument(
         "--max-batch",
@@ -567,8 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print solution-cache statistics (of a running service, or in-process)",
         description=(
             "Print solution-cache statistics.  With --url, query a running "
-            "'repro serve' instance's /stats endpoint (cache plus scheduler "
-            "counters); without it, report this process's shared cache."
+            "'repro serve' instance's /stats endpoint (totals, pooled cache "
+            "counters and one row per shard); without it, report this process's "
+            "shared cache."
         ),
     )
     cache_stats.add_argument(
@@ -1164,48 +1168,48 @@ def _service_address(url: str) -> tuple[str, int]:
     return parsed.hostname, port or 80
 
 
-def _print_sharded_cache_stats(url: str, payload: dict) -> None:
-    """Render a sharded /stats payload: pool totals plus per-shard hit rates."""
-    totals = payload.get("totals", {})
-    shedding = payload.get("shedding", {})
+def _print_service_stats(url: str, payload: dict) -> None:
+    """Render a /stats payload: totals, the pooled cache, one row per shard."""
+    totals = payload["totals"]
     print(
         format_key_values(
             [
-                ("uptime seconds", payload.get("uptime_seconds")),
-                ("workers", payload.get("workers")),
-                ("responses total", payload.get("responses_total")),
-                ("errors total", payload.get("errors_total")),
-                ("shed total", shedding.get("shed_total")),
-                ("requests total", totals.get("requests_total")),
-                ("coalesced total", totals.get("coalesced_total")),
-                ("batches total", totals.get("batches_total")),
-                ("cache hits total", totals.get("cache_hits_total")),
-                ("cache solves total", totals.get("solves")),
-                ("cache entries total", totals.get("cache_size")),
-                ("cache spills total", totals.get("cache_spills")),
-                ("cache entries spilled", totals.get("cache_spilled_entries")),
-                ("cache loads total", totals.get("cache_loads")),
-                ("cache entries loaded", totals.get("cache_loaded_entries")),
+                ("uptime seconds", payload["uptime_seconds"]),
+                ("workers", payload["workers"]),
+                ("responses total", payload["responses_total"]),
+                ("errors total", payload["errors_total"]),
+                ("shed total", payload["shedding"]["shed_total"]),
+                ("requests total", totals["requests_total"]),
+                ("coalesced total", totals["coalesced_total"]),
+                ("batches total", totals["batches_total"]),
+                ("rejected total", totals["rejected_total"]),
+                ("cache hits total", totals["cache_hits_total"]),
             ],
             title=f"Service {url}",
         )
     )
+    caches = [entry["scheduler"]["cache"] for entry in payload["shards"] if "scheduler" in entry]
+    pooled = {
+        key: sum(cache[key] for cache in caches) for key in _CACHE_STAT_KEYS if key != "hit_rate"
+    }
+    lookups = pooled["hits"] + pooled["misses"]
+    pooled["hit_rate"] = pooled["hits"] / lookups if lookups else 0.0
+    print()
+    print(format_key_values(_cache_lines(pooled), title="Solution cache (all shards)"))
     rows = []
-    for entry in payload.get("shards", []):
-        scheduler = entry.get("scheduler") or {}
+    for entry in payload["shards"]:
+        scheduler = entry.get("scheduler", {})
         cache = scheduler.get("cache", {})
-        hits = int(cache.get("hits", 0))
-        misses = int(cache.get("misses", 0))
-        lookups = hits + misses
-        hit_rate = f"{hits / lookups:.3f}" if lookups else "n/a"
+        hits = cache.get("hits", 0)
+        lookups = hits + cache.get("misses", 0)
         rows.append(
             (
-                entry.get("shard"),
-                entry.get("state", "?"),
+                entry["shard"],
+                entry["state"],
                 scheduler.get("requests_total", 0),
                 hits,
-                misses,
-                hit_rate,
+                cache.get("misses", 0),
+                f"{hits / lookups:.3f}" if lookups else "n/a",
                 cache.get("size", 0),
             )
         )
@@ -1237,28 +1241,7 @@ def _command_cache_stats(arguments: argparse.Namespace) -> int:
         if arguments.json:
             print(json.dumps(payload, indent=2))
             return 0
-        if "shards" in payload:
-            _print_sharded_cache_stats(arguments.url, payload)
-            return 0
-        scheduler = payload.get("scheduler", {})
-        cache = scheduler.get("cache", {})
-        print(
-            format_key_values(
-                [
-                    ("uptime seconds", payload.get("uptime_seconds")),
-                    ("responses total", payload.get("responses_total")),
-                    ("errors total", payload.get("errors_total")),
-                    ("queue depth", scheduler.get("queue_depth")),
-                    ("requests total", scheduler.get("requests_total")),
-                    ("coalesced total", scheduler.get("coalesced_total")),
-                    ("batches total", scheduler.get("batches_total")),
-                    ("rejected total", scheduler.get("rejected_total")),
-                ],
-                title=f"Service {arguments.url}",
-            )
-        )
-        print()
-        print(format_key_values(_cache_lines(cache), title="Solution cache"))
+        _print_service_stats(arguments.url, payload)
         return 0
     stats = shared_cache().stats()
     if arguments.json:
@@ -1269,8 +1252,8 @@ def _command_cache_stats(arguments: argparse.Namespace) -> int:
 
 
 #: Canonical ordering of the solution-cache counters, persistence included —
-#: ``spills``/``loads`` must render even when zero, so a PR-9 snapshot setup
-#: is visible at a glance against a single-process server too.
+#: ``spills``/``loads`` must render even when zero, so a snapshot setup is
+#: visible at a glance.
 _CACHE_STAT_KEYS = (
     "hits",
     "misses",

@@ -237,7 +237,7 @@ def summarize(
         shards.append(
             {
                 "shard": int(shard),
-                "state": shard_states.get(shard, "ready"),
+                "state": shard_states.get(shard, "?"),
                 "requests_total": metric_value(metrics, "repro_requests_total", match),
                 "rps": rate("repro_requests_total", match),
                 "p50_ms": round(
@@ -262,7 +262,7 @@ def summarize(
         "responses_total": metric_value(metrics, "repro_http_responses_total"),
         "errors_total": metric_value(metrics, "repro_http_errors_total"),
         "rps": rate("repro_http_responses_total"),
-        "workers_ready": metric_value(metrics, "repro_workers_ready", default=1.0),
+        "workers_ready": metric_value(metrics, "repro_workers_ready"),
         "p50_ms": round(
             histogram_quantile(metrics, "repro_solve_latency_seconds", 0.5) * 1e3, 3
         ),

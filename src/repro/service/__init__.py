@@ -14,16 +14,18 @@ The moving parts, each in its own module:
     :class:`BatchScheduler` — coalescing, batch windows, bounded queue,
     per-request deadlines.
 :mod:`~repro.service.server`
-    :class:`SolverService` (the raw-asyncio HTTP front end with ``/solve``,
-    ``/healthz`` and ``/stats``), :class:`ServiceConfig`, :func:`run_service`,
-    :func:`build_service` and the thread-hosted :class:`ThreadedService`.
+    :class:`SolverService` — the one HTTP front end for every worker count:
+    consistent-hash routing of solution keys onto shards, tiered load
+    shedding, trace re-basing and the aggregated ``/healthz``, ``/stats``
+    and ``/metrics`` — plus :class:`ServiceConfig`, :func:`run_service` and
+    the thread-hosted :class:`ThreadedService`.
 :mod:`~repro.service.sharding`
-    :class:`ShardedService` — the multi-process tier: consistent-hash
-    routing of solution keys onto a pool of shard worker processes, tiered
-    load shedding, crash recovery, aggregated ``/stats``.
+    The consistent-hash ring and the two shard transports: one shard on the
+    front's own event loop (``workers == 1``) or one spawned worker process
+    per shard, with crash recovery.
 :mod:`~repro.service.worker`
-    The shard worker entry point (one scheduler + persistent cache per
-    process).
+    The shard core (one scheduler, cache, trace ring and snapshot per shard)
+    and the worker-process entry point.
 :mod:`~repro.service.client`
     :class:`ServiceClient` (sync) and :class:`AsyncServiceClient`.
 :mod:`~repro.service.errors`
@@ -74,14 +76,8 @@ from .scheduler import (
     ScheduledResult,
     shed_decision,
 )
-from .server import (
-    ServiceConfig,
-    SolverService,
-    ThreadedService,
-    build_service,
-    run_service,
-)
-from .sharding import ConsistentHashRing, ShardedService, stable_key_digest
+from .server import ServiceConfig, SolverService, ThreadedService, run_service
+from .sharding import ConsistentHashRing, stable_key_digest
 from .worker import ShardWorkerConfig, shard_cache_path, worker_main
 
 __all__ = [
@@ -108,7 +104,6 @@ __all__ = [
     "ServiceError",
     "ServiceResponse",
     "ShardWorkerConfig",
-    "ShardedService",
     "SolveFailedError",
     "SolveRequest",
     "SolverService",
@@ -117,7 +112,6 @@ __all__ = [
     "UnknownSolverError",
     "UnstableModelError",
     "WorkerCrashedError",
-    "build_service",
     "parse_body",
     "parse_solve_request",
     "run_service",

@@ -6,32 +6,42 @@ these endpoints:
 
 ``POST /solve``
     The work endpoint: one JSON query in, one JSON answer out (see
-    :mod:`.protocol` for the schema).
+    :mod:`.protocol` for the schema).  The answer names the ``shard`` that
+    computed it.
 ``GET /healthz``
     Liveness: ``{"status": "ok", "uptime_seconds": ..., "version": ...}``
-    plus the current queue depth, so load balancers can shed before the
-    admission controller has to, and the ``runtime`` block of
+    plus the shard count and how many shards are ready, the in-flight
+    request count against its bound (so load balancers can shed before the
+    admission controller has to), and the ``runtime`` block of
     :func:`repro.blas.blas_runtime` (CPUs and the BLAS thread counts).
 ``GET /stats``
-    The full observability payload: uptime, scheduler counters (queue depth,
-    coalesced/batched/rejected totals) and the solution-cache statistics.
+    The full observability payload: uptime, HTTP counters, the ``shedding``
+    block, one ``shards[]`` entry per shard (state, restarts, routed and
+    pending requests, scheduler and cache counters) and their ``totals``.
 ``GET /metrics``
-    The same telemetry in Prometheus text exposition format (0.0.4):
-    per-shard latency histograms recorded by the scheduler plus counter and
-    gauge series derived from the stats counters — what a scraper ingests
-    without knowing the JSON schema.
+    The same telemetry in Prometheus text exposition format (0.0.4): every
+    shard's latency histograms merged exactly, plus counter and gauge series
+    derived from the stats counters — what a scraper ingests without knowing
+    the JSON schema.
 ``GET /traces/<id>`` and ``GET /traces``
     The trace query API, served from the :class:`~repro.obs.TraceRecorder`
     rings: one retained trace's span tree by id, or the newest retained
     traces (``?slow=1`` filters to the slow ring, ``?limit=N`` bounds the
-    listing).  The sharded front additionally fans lookups out to its shard
-    workers and merges their spans.
+    listing).  Lookups fan out to the shards and merge their spans.
+
+:class:`SolverService` is the only front, whatever the worker count: it owns
+HTTP, routing over the consistent-hash ring, tiered admission
+(:func:`~repro.service.scheduler.shed_decision` with the
+:class:`~repro.obs.slo.SloTracker`'s latency pressure), trace re-basing and
+the aggregation behind the observability endpoints.  ``workers`` only picks
+the shard transport (:mod:`.sharding`): one shard on the front's own event
+loop, or one spawned worker process per shard.
 
 Every request is assigned a trace id, echoed as ``trace_id`` in JSON
 payloads and as an ``X-Trace-Id`` response header; ``/solve`` requests
-additionally build a full span trace through the scheduler, kept in a
-bounded in-memory ring (:class:`~repro.obs.TraceRecorder`) with slow
-requests emitted to the structured log.
+additionally build a full span trace through the owning shard's scheduler,
+kept in a bounded in-memory ring with slow requests emitted to the
+structured log.
 
 Connections are persistent (HTTP/1.1 keep-alive) and each *connection* is
 served by its own task, so one slow solve never blocks the accept loop or
@@ -54,11 +64,10 @@ import time
 import urllib.parse
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import Any
 
 from .. import package_version
 from ..blas import blas_runtime
-from ..exceptions import CachePersistenceError
 from ..obs import (
     MetricsRegistry,
     TraceBuilder,
@@ -73,15 +82,17 @@ from ..obs.slo import (
     SloTargets,
     SloTracker,
 )
-from ..solvers import SolutionCache
+from ..solvers.cache import solution_cache_key
 from . import protocol
 from .errors import (
     BadRequestError,
+    LoadShedError,
     MethodNotAllowedError,
     NotFoundError,
     PayloadTooLargeError,
     ServiceError,
     SolveFailedError,
+    WorkerCrashedError,
 )
 from .scheduler import (
     DEFAULT_BATCH_WINDOW,
@@ -89,12 +100,25 @@ from .scheduler import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_QUEUE,
     DEFAULT_SHED_THRESHOLDS,
-    BatchScheduler,
+    SHED_TIER_ORDER,
+    shed_decision,
 )
-from .worker import DEFAULT_SPILL_INTERVAL, shard_cache_path
+from .sharding import (
+    RESTART_RETRY_AFTER,
+    ConsistentHashRing,
+    LocalShard,
+    ProcessShard,
+)
+from .worker import DEFAULT_SPILL_INTERVAL, ShardWorkerConfig
 
 #: Largest declared over-bound body the server drains before answering 413.
 _MAX_DRAIN_BYTES = 16_000_000
+
+#: Seconds the front waits for every shard's ready handshake.
+_STARTUP_TIMEOUT = 120.0
+
+#: Seconds ``stop()`` waits for connection handlers to return on their own.
+_CLOSE_TIMEOUT = 10.0
 
 #: Reason phrases for the status codes the service emits.
 _REASONS = {
@@ -118,12 +142,12 @@ class ServiceConfig:
     ``port=0`` binds an ephemeral port (what the tests use); the bound port
     is available as :attr:`SolverService.port` after ``start()``.
 
-    ``workers`` selects the serving tier: ``1`` is the single-process
-    service, ``> 1`` makes :func:`build_service` construct the sharded
-    multi-process front (:class:`~repro.service.sharding.ShardedService`)
-    with one worker process per shard.  ``cache_dir`` enables cache
-    persistence — snapshots are loaded on startup, spilled every
-    ``spill_interval`` seconds and on graceful shutdown.
+    ``workers`` is the shard count and picks the shard transport: ``1`` runs
+    the one shard on the front's event loop, ``> 1`` spawns one worker
+    process per shard.  ``max_queue`` bounds each shard's in-flight requests
+    (tiered shedding starts below it).  ``cache_dir`` enables cache
+    persistence — each shard loads its snapshot on startup and spills it
+    every ``spill_interval`` seconds and on graceful shutdown.
     """
 
     host: str = "127.0.0.1"
@@ -152,31 +176,26 @@ class ServiceConfig:
     #: Rolling-p99 end-to-end solve-latency SLO target in seconds.
     slo_solve_latency_seconds: float = DEFAULT_SOLVE_LATENCY_TARGET_SECONDS
 
+    def __post_init__(self) -> None:
+        # Checked here, not only by each shard's scheduler: a process shard
+        # would otherwise report a bad tunable as a dead worker.
+        for name in ("workers", "max_queue", "max_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.batch_window < 0.0:
+            raise ValueError(f"batch_window must be >= 0, got {self.batch_window}")
+
 
 class SolverService:
-    """The long-running solver service: HTTP front end + batching scheduler."""
+    """The solver service front: HTTP, routing, admission, observability."""
 
-    def __init__(
-        self, config: ServiceConfig | None = None, *, cache: SolutionCache | None = None
-    ) -> None:
+    def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config if config is not None else ServiceConfig()
-        if cache is None:
-            cache = SolutionCache(maxsize=self.config.cache_maxsize)
         self.slo = SloTracker(
             SloTargets(
                 queue_wait_p99_seconds=self.config.slo_queue_wait_seconds,
                 solve_latency_p99_seconds=self.config.slo_solve_latency_seconds,
             )
-        )
-        self.scheduler = BatchScheduler(
-            batch_window=self.config.batch_window,
-            max_queue=self.config.max_queue,
-            max_batch=self.config.max_batch,
-            workers=self.config.workers,
-            cache=cache,
-            shard=0,
-            slo=self.slo,
-            shed_thresholds=self.config.shed_thresholds,
         )
         self._log = get_logger("repro.service")
         self.traces = TraceRecorder(
@@ -185,13 +204,39 @@ class SolverService:
             exemplar_interval=self.config.trace_exemplar_interval,
             logger=self._log,
         )
+        self._ring = ConsistentHashRing(self.config.workers)
+        transport = LocalShard if self.config.workers == 1 else ProcessShard
+        self._shards = [
+            transport(
+                ShardWorkerConfig(
+                    shard=index,
+                    batch_window=self.config.batch_window,
+                    max_queue=self.config.max_queue,
+                    max_batch=self.config.max_batch,
+                    cache_maxsize=self.config.cache_maxsize,
+                    cache_dir=self.config.cache_dir,
+                    spill_interval=self.config.spill_interval,
+                    trace_ring=self.config.trace_ring,
+                    slow_request_seconds=self.config.slow_request_seconds,
+                    trace_exemplar_interval=self.config.trace_exemplar_interval,
+                )
+            )
+            for index in range(self.config.workers)
+        ]
+        self._capacity = self.config.workers * self.config.max_queue
         self._server: asyncio.Server | None = None
-        self._spill_task: asyncio.Task | None = None
+        #: Connection handler tasks, and the writers of those waiting for
+        #: their next request — what ``stop()`` closes and waits for.
+        self._handlers: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._closing = False
         self._started_monotonic: float | None = None
         self._started_wallclock: float | None = None
         self._responses_total = 0
         self._errors_total = 0
         self._errors_by_code: dict[str, int] = {}
+        self._shed_total = 0
+        self._shed_by_tier: dict[str, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -207,81 +252,68 @@ class SolverService:
         return self.config.host
 
     async def start(self) -> None:
-        """Bind the listening socket and start accepting connections."""
+        """Bring every shard up, then bind the listening socket.
+
+        The service never accepts a request it has no shard for.  A shard
+        that cannot start fails the whole start-up and stops the others.
+        """
         if self._server is not None:
             raise RuntimeError("the service is already started")
-        await self._load_cache_snapshot()
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
-        )
+        self._closing = False
+        try:
+            await asyncio.gather(*(shard.start() for shard in self._shards))
+            await asyncio.wait_for(
+                asyncio.gather(*(shard.wait_ready() for shard in self._shards)),
+                timeout=_STARTUP_TIMEOUT,
+            )
+            self._server = await asyncio.start_server(
+                self._handle_connection, host=self.config.host, port=self.config.port
+            )
+        except BaseException as error:
+            await asyncio.gather(*(shard.stop() for shard in self._shards))
+            if isinstance(error, TimeoutError):
+                raise RuntimeError(
+                    f"shard workers failed the ready handshake within {_STARTUP_TIMEOUT:g}s"
+                ) from None
+            raise
         self._started_monotonic = time.monotonic()
         self._started_wallclock = time.time()
-        if self._snapshot_path() is not None and self.config.spill_interval > 0:
-            self._spill_task = asyncio.get_running_loop().create_task(self._spill_periodically())
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise RuntimeError("call start() before serve_forever()")
-        await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting connections and fail queued (unstarted) work."""
-        if self._spill_task is not None:
-            self._spill_task.cancel()
-            await asyncio.gather(self._spill_task, return_exceptions=True)
-            self._spill_task = None
+        """Stop accepting, drain the shards, close every client connection.
+
+        Idle keep-alive connections close at once; a connection with a
+        request in flight closes after its answer (the shards drain what they
+        can and fail the rest).  Handlers return normally, so no cancelled
+        handler task is left for asyncio to report.
+        """
+        self._closing = True
         if self._server is not None:
             self._server.close()
+        for writer in tuple(self._idle):
+            writer.close()
+        await asyncio.gather(*(shard.stop() for shard in self._shards))
+        if self._handlers:
+            _, stuck = await asyncio.wait(tuple(self._handlers), timeout=_CLOSE_TIMEOUT)
+            for task in stuck:  # pragma: no cover - a client that never reads
+                task.cancel()
+            await asyncio.gather(*stuck, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        await self.scheduler.close()
-        await self._spill_cache_snapshot()
-
-    # -- cache persistence (single-process mode; shards handle their own) ---
-
-    def _snapshot_path(self) -> Path | None:
-        """Where this service's cache spills, or ``None`` when not persisted.
-
-        The sharded tier persists per worker process instead (each shard owns
-        ``shard-<i>.json``), so this path exists only in single-process mode;
-        the single process is "shard 0" of a one-shard deployment, keeping
-        snapshots interchangeable when a deployment later scales out.
-        """
-        if self.config.cache_dir is None or self.config.workers != 1:
-            return None
-        return shard_cache_path(self.config.cache_dir, 0)
-
-    async def _load_cache_snapshot(self) -> None:
-        path = self._snapshot_path()
-        if path is None:
-            return
-        loop = asyncio.get_running_loop()
-        try:
-            await loop.run_in_executor(None, self.scheduler.cache.load, path)
-        except CachePersistenceError:
-            # A torn or incompatible snapshot means a cold start, not an
-            # outage; the next spill overwrites it.
-            pass
-
-    async def _spill_cache_snapshot(self) -> None:
-        path = self._snapshot_path()
-        if path is None:
-            return
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.scheduler.cache.spill, path)
-
-    async def _spill_periodically(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.spill_interval)
-            await self._spill_cache_snapshot()
 
     # -- HTTP plumbing -----------------------------------------------------
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
         try:
-            while True:
+            while not self._closing:
+                self._idle.add(writer)
                 try:
                     request = await self._read_request(reader)
                 except asyncio.IncompleteReadError:
@@ -294,6 +326,8 @@ class SolverService:
                     writer.write(self._render_response(status, payload, extra_headers, False))
                     await writer.drain()
                     break
+                finally:
+                    self._idle.discard(writer)
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -306,11 +340,12 @@ class SolverService:
         except (ConnectionError, TimeoutError):
             pass
         finally:
-            # Loop teardown cancels connection handlers mid-read; the
-            # CancelledError must propagate (a cancelled task ending with
-            # CancelledError is silent, and absorbing it would turn "shut
-            # down now" into "keep serving") — but only after the transport
-            # is released below.
+            # The handler must end normally: on Python 3.11 asyncio logs an
+            # "Exception in callback" traceback for every handler task that
+            # ends cancelled, which is why stop() closes connections instead
+            # of leaving them to loop teardown.  A CancelledError still
+            # propagates (absorbing it would turn "shut down now" into "keep
+            # serving") — but only after the transport is released below.
             writer.close()
             try:
                 await writer.wait_closed()
@@ -413,9 +448,9 @@ class SolverService:
         """Route one request; every failure becomes a structured error.
 
         A trace id is minted here for every request and travels with it:
-        ``/solve`` builds a full span trace through the scheduler, the other
-        endpoints simply echo the id (payload ``trace_id`` + ``X-Trace-Id``
-        header) so any answer can be matched to a log line.
+        ``/solve`` builds a full span trace through the owning shard, the
+        other endpoints simply echo the id (payload ``trace_id`` +
+        ``X-Trace-Id`` header) so any answer can be matched to a log line.
         """
         target, _, query_string = target.partition("?")
         trace = TraceBuilder()
@@ -438,7 +473,7 @@ class SolverService:
             if target == "/healthz":
                 if method != "GET":
                     raise MethodNotAllowedError("/healthz accepts GET only")
-                payload = await self._healthz_payload()
+                payload = self._healthz_payload()
                 payload["trace_id"] = trace.trace_id
                 return 200, payload, headers
             if target == "/stats":
@@ -478,6 +513,8 @@ class SolverService:
         payload = {"status": "error", "trace_id": trace_id, "error": error.payload()}
         return error.http_status, payload, headers
 
+    # -- request path ------------------------------------------------------
+
     async def _solve(
         self, body: bytes, trace: TraceBuilder
     ) -> tuple[int, dict, dict[str, str]]:
@@ -485,18 +522,32 @@ class SolverService:
         try:
             if not body:
                 raise BadRequestError("POST /solve requires a JSON body")
-            with trace.timed("admission"):
-                request = protocol.parse_solve_request(protocol.parse_body(body))
-            result = await self.scheduler.submit(
-                request.model,
-                request.policy,
-                deadline=request.deadline,
-                trace=trace,
+            admission_started = time.perf_counter()
+            request = protocol.parse_solve_request(protocol.parse_body(body))
+            key = solution_cache_key(request.model, request.policy)  # type: ignore[arg-type]
+            shard = self._shards[self._ring.shard_for(key)]
+            self._admit(request.query, shard.shard)
+            trace.add(
+                "admission",
+                admission_started,
+                time.perf_counter(),
+                shard=shard.shard,
                 query=request.query,
             )
-            outcome = result.outcome
-            if outcome.solver is None:
-                raise SolveFailedError(outcome.error or "no solver succeeded")
+            shard.routed_total += 1
+            shard.inflight += 1
+            try:
+                result = await shard.submit(
+                    request.model, request.policy, request.deadline, trace
+                )
+            finally:
+                shard.inflight -= 1
+            for span in trace.spans:
+                if span.name == "queue-wait":
+                    self.slo.observe_queue_wait(span.duration_ms / 1e3)
+            self.slo.observe_solve_latency(time.perf_counter() - started)
+            if result["solver"] is None:
+                raise SolveFailedError(result["error"] or "no solver succeeded")
         except ServiceError as error:
             # Failed requests leave a trace too — a shed or timed-out request
             # is exactly the one worth a where-did-the-time-go record.
@@ -507,81 +558,209 @@ class SolverService:
             "status": "ok",
             "trace_id": trace.trace_id,
             "query": request.query,
-            "solver": outcome.solver,
-            "stable": outcome.stable,
-            "metrics": dict(outcome.metrics),
-            "cached": result.cached,
-            "coalesced": result.coalesced,
+            "shard": shard.shard,
+            "solver": result["solver"],
+            "stable": result["stable"],
+            "metrics": result["metrics"],
+            "cached": result["cached"],
+            "coalesced": result["coalesced"],
             "elapsed_ms": round((time.perf_counter() - started) * 1e3, 3),
         }
         return 200, payload, {"X-Trace-Id": trace.trace_id}
 
-    async def _trace_payload(self, trace_id: str) -> dict:
-        """``GET /traces/<id>``: the retained trace's full span tree."""
-        found = self.traces.find(trace_id)
-        if found is None:
-            raise NotFoundError(
-                f"no retained trace {trace_id!r}; it may have fallen off the ring "
-                f"(capacity {self.traces.capacity})"
+    def _admit(self, query: str, shard_id: int) -> None:
+        """Admission: shard availability, then tiered shedding.
+
+        The load is the *worse* of in-flight requests over the total capacity
+        (``workers × max_queue``) and the SLO tracker's measured latency
+        pressure; cheapest-to-recompute query kinds shed first.  A full
+        shard sheds likewise even when the others have room, so a hot key
+        range cannot monopolise the global budget.
+        """
+        shard = self._shards[shard_id]
+        if shard.state != "ready":
+            raise WorkerCrashedError(
+                f"the worker process of shard {shard_id} is restarting; retry shortly",
+                shard=shard_id,
+                retry_after=RESTART_RETRY_AFTER,
             )
-        return {"status": "ok", "trace": found.to_dict()}
+        pending_total = sum(each.inflight for each in self._shards)
+        tier = shed_decision(
+            query,
+            pending_total,
+            self._capacity,
+            self.config.shed_thresholds,
+            latency_pressure=self.slo.pressure(),
+        )
+        if tier is None and shard.inflight >= self.config.max_queue:
+            tier = query
+        if tier is not None:
+            self._shed_total += 1
+            self._shed_by_tier[tier] = self._shed_by_tier.get(tier, 0) + 1
+            raise LoadShedError(
+                f"overloaded: shedding {tier!r} requests "
+                f"({pending_total}/{self._capacity} pending); retry shortly",
+                shard=shard_id,
+                tier=tier,
+                retry_after=round(0.1 * (1.0 + pending_total / self._capacity), 3),
+            )
+
+    # -- observability -----------------------------------------------------
+
+    async def _query_shards(self, kind: str, *args: object) -> list[dict | None]:
+        return list(await asyncio.gather(*(shard.query(kind, *args) for shard in self._shards)))
+
+    async def _trace_payload(self, trace_id: str) -> dict:
+        """``GET /traces/<id>``: the front's copy merged with the shards' spans.
+
+        The front's retained copy is authoritative — it already carries the
+        shard's spans re-based onto the front clock.  The fan-out merges any
+        shard-retained spans the front copy lacks (deduplicated by span id)
+        and covers traces the front ring has already evicted while a shard
+        ring still holds them; a shard-only trace keeps its shard-relative
+        offsets (durations are exact).
+        """
+        found = self.traces.find(trace_id)
+        shard_traces = [
+            reply["trace"]
+            for reply in await self._query_shards("trace", trace_id)
+            if reply is not None and reply["trace"] is not None
+        ]
+        if found is not None:
+            payload = found.to_dict()
+            spans = [span.to_dict() for span in found.spans]
+            seen = {span.span_id for span in found.spans}
+            for shard_trace in shard_traces:
+                for span_payload in shard_trace["spans"]:
+                    if span_payload["span_id"] not in seen:
+                        seen.add(span_payload["span_id"])
+                        spans.append(span_payload)
+            payload["spans"] = spans
+            return {"status": "ok", "trace": payload}
+        if shard_traces:
+            return {"status": "ok", "trace": shard_traces[0]}
+        raise NotFoundError(
+            f"no retained trace {trace_id!r} on the front or any shard; "
+            f"it may have fallen off the rings (capacity {self.traces.capacity})"
+        )
 
     async def _traces_payload(self, *, slow: bool, limit: int) -> dict:
-        """``GET /traces``: retained traces newest-first (``?slow=1`` filters)."""
-        listed = self.traces.query(slow=slow, limit=limit)
-        return {
-            "status": "ok",
-            "count": len(listed),
-            "slow": slow,
-            "traces": [retained.to_dict() for retained in listed],
-        }
+        """``GET /traces``: the front's listing plus the shards', newest first.
 
-    def _healthz_base(self) -> dict:
-        """The ``/healthz`` keys every tier reports: liveness, version, runtime."""
+        Front-retained traces win the per-id deduplication (their spans are
+        merged and re-based); shard-only traces fill in behind them.
+        """
+        combined = [retained.to_dict() for retained in self.traces.query(slow=slow, limit=limit)]
+        seen = {entry["trace_id"] for entry in combined}
+        for reply in await self._query_shards("traces", {"slow": slow, "limit": limit}):
+            for entry in reply["traces"] if reply is not None else ():
+                if entry["trace_id"] not in seen:
+                    seen.add(entry["trace_id"])
+                    combined.append(entry)
+        combined.sort(key=lambda entry: entry["started_at"], reverse=True)
+        combined = combined[:limit]
+        return {"status": "ok", "count": len(combined), "slow": slow, "traces": combined}
+
+    def _uptime(self) -> float:
+        return time.monotonic() - (self._started_monotonic or time.monotonic())
+
+    def _healthz_payload(self) -> dict:
+        """Liveness, version, shard readiness, load and the BLAS runtime."""
         return {
             "status": "ok",
             "version": package_version(),
-            "uptime_seconds": round(time.monotonic() - (self._started_monotonic or 0.0), 3),
+            "uptime_seconds": round(self._uptime(), 3),
             "runtime": blas_runtime(),
+            "workers": self.config.workers,
+            "workers_ready": self._workers_ready(),
+            "queue_depth": sum(shard.inflight for shard in self._shards),
+            "max_queue": self._capacity,
         }
 
-    async def _healthz_payload(self) -> dict:
-        """The liveness payload (async so the sharded tier can poll workers)."""
-        return {
-            **self._healthz_base(),
-            "queue_depth": self.scheduler.queue_depth,
-            "max_queue": self.scheduler.max_queue,
-        }
+    def _workers_ready(self) -> int:
+        return sum(1 for shard in self._shards if shard.state == "ready")
 
     async def _stats_payload(self) -> dict:
-        """The observability payload (async so the sharded tier can aggregate)."""
+        totals = dict.fromkeys((*_SCHEDULER_COUNTERS, *_CACHE_TOTALS.values()), 0)
+        shards: list[dict] = []
+        for shard, stats in zip(self._shards, await self._query_shards("stats")):
+            entry: dict = {
+                "shard": shard.shard,
+                "state": shard.state,
+                "restarts": shard.restarts,
+                "routed_total": shard.routed_total,
+                "pending": shard.inflight,
+            }
+            if stats is not None:
+                # The registry dump belongs to /metrics.
+                stats.pop("metrics")
+                entry["scheduler"] = stats
+                for counter in _SCHEDULER_COUNTERS:
+                    totals[counter] += stats[counter]
+                for cache_key, total_key in _CACHE_TOTALS.items():
+                    totals[total_key] += stats["cache"][cache_key]
+            shards.append(entry)
         return {
             "status": "ok",
             "started_at": self._started_wallclock,
-            "uptime_seconds": round(time.monotonic() - (self._started_monotonic or 0.0), 3),
+            "uptime_seconds": round(self._uptime(), 3),
+            "workers": self.config.workers,
             "responses_total": self._responses_total,
             "errors_total": self._errors_total,
             "errors_by_code": dict(self._errors_by_code),
-            "scheduler": self.scheduler.stats(),
+            "shedding": {
+                "shed_total": self._shed_total,
+                "by_tier": dict(self._shed_by_tier),
+                "tier_order": list(SHED_TIER_ORDER),
+                "thresholds": list(self.config.shed_thresholds),
+                "capacity": self._capacity,
+            },
+            "shards": shards,
+            "totals": totals,
             "slo": self.slo.snapshot(),
         }
 
     async def _metrics_payload(self) -> str:
         """The ``GET /metrics`` body: a fresh snapshot registry, rendered.
 
-        Built per scrape rather than kept live: histogram series come from
-        the scheduler's registry (exact copies), counter/gauge series are
-        derived from the same stats integers ``/stats`` reports — one source
-        of truth, two encodings.
+        Built per scrape rather than kept live.  Each shard hands over its
+        scheduler's histogram registry with its stats; bucket-wise summation
+        makes the merged histograms identical to one process having recorded
+        every observation.  Counter and gauge series are derived from the
+        same stats integers ``/stats`` reports — one source of truth, two
+        encodings — plus the front's own series.
         """
         registry = MetricsRegistry()
-        registry.merge_dict(self.scheduler.metrics_snapshot())
-        merge_shard_stats_metrics(registry, 0, self.scheduler.stats())
+        for shard, stats in zip(self._shards, await self._query_shards("stats")):
+            labels = {"shard": str(shard.shard)}
+            registry.counter(
+                "repro_worker_restarts_total",
+                "Times this shard's worker process was respawned.",
+                labels=labels,
+            ).inc(float(shard.restarts))
+            registry.counter(
+                "repro_routed_total", "Requests routed to this shard by the ring.", labels=labels
+            ).inc(float(shard.routed_total))
+            if stats is not None:
+                registry.merge_dict(stats.pop("metrics"))
+                merge_shard_stats_metrics(registry, shard.shard, stats)
+        registry.gauge(
+            "repro_workers_ready", "Shards currently in the ready state."
+        ).set(float(self._workers_ready()))
+        registry.counter("repro_shed_total", "Requests shed by tiered admission.").inc(
+            float(self._shed_total)
+        )
+        for tier, count in self._shed_by_tier.items():
+            registry.counter(
+                "repro_shed_by_tier_total",
+                "Requests shed by tiered admission, by query tier.",
+                labels={"tier": tier},
+            ).inc(float(count))
         self._front_metrics(registry)
         return registry.render()
 
     def _front_metrics(self, registry: MetricsRegistry) -> None:
-        """Front-process series every tier exposes: HTTP, uptime, traces, runtime."""
+        """Front-process series: HTTP, uptime, traces, SLO, runtime."""
         registry.counter("repro_http_responses_total", "HTTP responses written.").inc(
             float(self._responses_total)
         )
@@ -596,7 +775,7 @@ class SolverService:
             ).inc(float(count))
         registry.gauge(
             "repro_uptime_seconds", "Seconds since the service started."
-        ).set(time.monotonic() - (self._started_monotonic or time.monotonic()))
+        ).set(self._uptime())
         registry.counter(
             "repro_traces_recorded_total", "Request traces recorded in the ring."
         ).inc(float(self.traces.recorded_total))
@@ -641,8 +820,8 @@ def _parse_traces_query(query_string: str) -> tuple[bool, int]:
     return slow, limit
 
 
-#: ``/stats`` scheduler counters exported as Prometheus counter families —
-#: the mapping both serving tiers use, so metric names cannot drift by tier.
+#: Scheduler counters, summed into ``/stats`` totals and exported as
+#: Prometheus counter families per shard.
 _SCHEDULER_COUNTERS: dict[str, tuple[str, str]] = {
     "requests_total": (
         "repro_requests_total",
@@ -666,7 +845,7 @@ _SCHEDULER_COUNTERS: dict[str, tuple[str, str]] = {
     ),
     "rejected_total": (
         "repro_rejected_total",
-        "Requests rejected by admission control.",
+        "Requests rejected by a full scheduler queue.",
     ),
     "deadline_exceeded_total": (
         "repro_deadline_exceeded_total",
@@ -674,7 +853,17 @@ _SCHEDULER_COUNTERS: dict[str, tuple[str, str]] = {
     ),
 }
 
-#: Solution-cache counters exported per shard, same contract.
+#: Solution-cache counters summed into ``/stats`` totals, by total name.
+_CACHE_TOTALS = {
+    "solves": "solves",
+    "size": "cache_size",
+    "spills": "cache_spills",
+    "spilled_entries": "cache_spilled_entries",
+    "loads": "cache_loads",
+    "loaded_entries": "cache_loaded_entries",
+}
+
+#: Solution-cache counters exported per shard.
 _CACHE_COUNTERS: dict[str, tuple[str, str]] = {
     "hits": ("repro_cache_lookup_hits_total", "Solution-cache lookup hits."),
     "misses": ("repro_cache_lookup_misses_total", "Solution-cache lookup misses."),
@@ -694,69 +883,26 @@ _CACHE_COUNTERS: dict[str, tuple[str, str]] = {
 
 
 def merge_shard_stats_metrics(
-    registry: MetricsRegistry, shard: int, stats: Mapping[str, object]
+    registry: MetricsRegistry, shard: int, stats: Mapping[str, Any]
 ) -> None:
     """Derive one shard's counter/gauge series from its ``/stats`` section.
 
     The integers are the very ones ``/stats`` reports (scheduler counters and
     the cache's hit/miss/solve/eviction totals), re-encoded as labelled
-    Prometheus series; missing or non-numeric entries are skipped so an older
-    worker's stats payload degrades instead of failing the scrape.
+    Prometheus series.
     """
     labels = {"shard": str(shard)}
     for stats_key, (name, help_text) in _SCHEDULER_COUNTERS.items():
-        value = stats.get(stats_key)
-        if isinstance(value, (int, float)):
-            registry.counter(name, help_text, labels=labels).inc(float(value))
-    shed = stats.get("shed_total")
-    if isinstance(shed, (int, float)):
-        registry.counter(
-            "repro_shed_total", "Requests shed by tiered admission control.", labels=labels
-        ).inc(float(shed))
-    shed_by_tier = stats.get("shed_by_tier")
-    if isinstance(shed_by_tier, Mapping):
-        for tier, count in sorted(shed_by_tier.items()):
-            if isinstance(count, (int, float)):
-                registry.counter(
-                    "repro_shed_by_tier_total",
-                    "Requests shed, by query tier.",
-                    labels={**labels, "tier": str(tier)},
-                ).inc(float(count))
-    depth = stats.get("queue_depth")
-    if isinstance(depth, (int, float)):
-        registry.gauge(
-            "repro_queue_depth",
-            "Distinct computations queued or executing.",
-            labels=labels,
-        ).set(float(depth))
-    cache_stats = stats.get("cache")
-    if isinstance(cache_stats, Mapping):
-        for stats_key, (name, help_text) in _CACHE_COUNTERS.items():
-            value = cache_stats.get(stats_key)
-            if isinstance(value, (int, float)):
-                registry.counter(name, help_text, labels=labels).inc(float(value))
-        size = cache_stats.get("size")
-        if isinstance(size, (int, float)):
-            registry.gauge(
-                "repro_cache_entries", "Entries in the solution cache.", labels=labels
-            ).set(float(size))
-
-
-def build_service(
-    config: ServiceConfig | None = None, *, cache: SolutionCache | None = None
-) -> SolverService:
-    """The service matching ``config``: sharded when ``workers > 1``.
-
-    The sharded tier is imported lazily so single-process deployments (and
-    the spawned shard workers themselves, which import this module) never pay
-    for — or recurse into — the multiprocessing front.
-    """
-    config = config if config is not None else ServiceConfig()
-    if config.workers > 1:
-        from .sharding import ShardedService
-
-        return ShardedService(config, cache=cache)
-    return SolverService(config, cache=cache)
+        registry.counter(name, help_text, labels=labels).inc(float(stats[stats_key]))
+    registry.gauge(
+        "repro_queue_depth", "Distinct computations queued or executing.", labels=labels
+    ).set(float(stats["queue_depth"]))
+    cache_stats = stats["cache"]
+    for stats_key, (name, help_text) in _CACHE_COUNTERS.items():
+        registry.counter(name, help_text, labels=labels).inc(float(cache_stats[stats_key]))
+    registry.gauge(
+        "repro_cache_entries", "Entries in the solution cache.", labels=labels
+    ).set(float(cache_stats["size"]))
 
 
 def run_service(config: ServiceConfig | None = None) -> int:
@@ -768,35 +914,27 @@ def run_service(config: ServiceConfig | None = None) -> int:
     """
 
     async def _main() -> None:
-        service = build_service(config)
+        service = SolverService(config)
         configure_logging(service.config.log_format)
         await service.start()
         stopped = asyncio.Event()
-        loop = asyncio.get_running_loop()
         try:
-            loop.add_signal_handler(signal.SIGTERM, stopped.set)
+            asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stopped.set)
         except (NotImplementedError, RuntimeError):  # pragma: no cover - non-unix
             pass
-        workers = service.config.workers
         get_logger("repro.service").info(
             "service-started",
             url=f"http://{service.host}:{service.port}",
-            mode="sharded" if workers > 1 else "single-process",
-            workers=workers,
+            workers=service.config.workers,
             endpoints=(
                 "POST /solve, GET /healthz, GET /stats, GET /metrics, "
                 "GET /traces, GET /traces/<id>"
             ),
             stop="Ctrl-C or SIGTERM",
         )
-        serve_task = loop.create_task(service.serve_forever())
-        stop_task = loop.create_task(stopped.wait())
         try:
-            await asyncio.wait({serve_task, stop_task}, return_when=asyncio.FIRST_COMPLETED)
+            await stopped.wait()
         finally:
-            serve_task.cancel()
-            stop_task.cancel()
-            await asyncio.gather(serve_task, stop_task, return_exceptions=True)
             await service.stop()
 
     try:
@@ -819,11 +957,8 @@ class ThreadedService:
             client.solve({...})
     """
 
-    def __init__(
-        self, config: ServiceConfig | None = None, *, cache: SolutionCache | None = None
-    ) -> None:
+    def __init__(self, config: ServiceConfig | None = None) -> None:
         self._config = config if config is not None else ServiceConfig(port=0)
-        self._cache = cache
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -858,7 +993,7 @@ class ThreadedService:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        service = build_service(self._config, cache=self._cache)
+        service = SolverService(self._config)
         try:
             await service.start()
         except BaseException as exc:  # noqa: BLE001 - reported to the caller

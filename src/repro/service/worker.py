@@ -1,45 +1,50 @@
-"""The shard worker: one process owning one slice of the key space.
+"""The shard core: one slice of the key space, whatever carries its messages.
 
-Each worker spawned by :class:`~repro.service.sharding.ShardPool` runs
-:func:`worker_main`: a private asyncio loop hosting its own
-:class:`~repro.service.scheduler.BatchScheduler` and per-shard
-:class:`~repro.solvers.SolutionCache`.  Because the front process routes
-every solution key to exactly one shard, single-flight coalescing and LRU
-locality keep working *per shard* — 100 identical concurrent requests still
-cost one solve, no matter which front connection carried them.
+:class:`ShardCore` owns everything a shard keeps — a
+:class:`~repro.service.scheduler.BatchScheduler` with its
+:class:`~repro.solvers.SolutionCache`, a trace ring and the cache snapshot —
+and answers the shard's messages.  Because the front routes every solution
+key to exactly one shard, single-flight coalescing and LRU locality keep
+working *per shard*: 100 identical concurrent requests still cost one solve,
+no matter which front connection carried them.
 
-The front talks to workers over one :class:`multiprocessing.connection.Connection`
-per worker.  Messages front → worker::
+The core runs in one of two places (see :mod:`.sharding`): on the front's own
+event loop when the service has one shard, or in a spawned worker process,
+one per shard, running :func:`worker_main`.  The front talks to a worker
+process over one :class:`multiprocessing.connection.Connection`.  Messages
+front → worker::
 
     ("solve", request_id, model, policy, deadline, trace_id)
     ("stats", request_id)       # scheduler + cache counters for this shard
     ("spill", request_id)       # snapshot the shard cache to disk now
     ("trace", request_id, trace_id)   # look one trace up in the shard's ring
     ("traces", request_id, params)    # list retained traces ({"slow","limit"})
-    ("shutdown",)               # graceful: spill, drain, exit
+    ("shutdown",)               # graceful: drain, spill, exit
 
-(the trailing ``trace_id`` is optional — a worker unpacks tolerantly, so an
-older front sending 5-tuples keeps working) and worker → front::
+and worker → front::
 
     ("ready", shard)                      # startup handshake
-    (request_id, "ok", result_dict)       # includes a "trace" span payload
+    (request_id, "ok", result_dict)       # includes the worker's "spans"
     (request_id, "error", error_dict)     # structured ServiceError fields
     (request_id, "stats", stats_dict)     # includes a "metrics" registry dump
     (request_id, "spilled", entry_count)
     (request_id, "trace", {"trace": ...}) # the retained trace dict, or None
     (request_id, "traces", {"traces": [...]})
 
-Blocking pipe I/O never touches the event loop: a reader thread feeds
-incoming messages to the loop via ``call_soon_threadsafe`` and a writer
-thread drains an outbox queue, mirroring how the front side bridges the same
-pipes.  ``worker_main`` also runs happily inside a *thread* (the coverage
-harness does this), so signal handling is installed only when the worker is
-a real process's main thread.
+The in-process shard calls the same :meth:`ShardCore.submit` and
+:meth:`ShardCore.control` directly and gets the same replies; its spans land
+in the front's own trace, so only the pipe carries span payloads.
 
-Cache persistence is per shard: with ``cache_dir`` set, the worker loads
+Blocking pipe I/O never touches the worker's event loop: a reader thread
+feeds incoming messages to the loop via ``call_soon_threadsafe`` and a writer
+thread drains an outbox queue.  ``worker_main`` also runs inside a *thread*
+(the protocol tests do this), so signal handling is installed only when the
+worker is a real process's main thread.
+
+Cache persistence is per shard: with ``cache_dir`` set, the core loads
 ``shard-<i>.json`` on startup (a corrupt snapshot serves cold rather than
-crashing), spills every ``spill_interval`` seconds, and spills once more on
-graceful shutdown — a restarted worker answers yesterday's popular queries
+failing), spills every ``spill_interval`` seconds, and spills once more on
+graceful shutdown — a restarted shard answers yesterday's popular queries
 from memory without re-solving.
 """
 
@@ -75,7 +80,7 @@ DEFAULT_SPILL_INTERVAL = 30.0
 
 @dataclass(frozen=True)
 class ShardWorkerConfig:
-    """Everything one shard worker needs to run (picklable for spawn)."""
+    """Everything one shard needs to run (picklable for spawn)."""
 
     shard: int
     batch_window: float = DEFAULT_BATCH_WINDOW
@@ -94,43 +99,137 @@ def shard_cache_path(cache_dir: str | Path, shard: int) -> Path:
     return Path(cache_dir) / f"shard-{shard}.json"
 
 
-def worker_main(config: ShardWorkerConfig, conn: "Connection") -> None:
-    """Run one shard worker until told to shut down (process entry point)."""
-    asyncio.run(_worker_async(config, conn))
+class ShardCore:
+    """One shard's scheduler, cache, trace ring and snapshot, plus its replies."""
 
+    def __init__(self, config: ShardWorkerConfig) -> None:
+        self.config = config
+        self.scheduler = BatchScheduler(
+            batch_window=config.batch_window,
+            max_queue=config.max_queue,
+            max_batch=config.max_batch,
+            cache=SolutionCache(maxsize=config.cache_maxsize),
+            shard=config.shard,
+        )
+        # The shard keeps its own trace ring so the front can fan ``/traces``
+        # lookups out to it.  No logger: the front records the full merged
+        # trace and owns slow-request log emission.
+        self.traces = TraceRecorder(
+            config.trace_ring,
+            slow_threshold_seconds=config.slow_request_seconds,
+            exemplar_interval=config.trace_exemplar_interval,
+            logger=None,
+        )
+        self._snapshot = (
+            None if config.cache_dir is None else shard_cache_path(config.cache_dir, config.shard)
+        )
+        self._spill_task: asyncio.Task | None = None
 
-async def _worker_async(config: ShardWorkerConfig, conn: "Connection") -> None:
-    loop = asyncio.get_running_loop()
-    cache = SolutionCache(maxsize=config.cache_maxsize)
-    snapshot: Path | None = None
-    if config.cache_dir is not None:
-        snapshot = shard_cache_path(config.cache_dir, config.shard)
+    def load(self) -> None:
+        """Restore the shard's cache snapshot, if persistence is on (blocking)."""
+        if self._snapshot is None:
+            return
         try:
-            cache.load(snapshot)
+            self.scheduler.cache.load(self._snapshot)
         except CachePersistenceError as exc:
             # A torn or stale snapshot must not keep the shard down; serving
             # cold is strictly better than not serving.
             warnings.warn(
-                f"shard {config.shard} serves cold: {exc}", RuntimeWarning, stacklevel=1
+                f"shard {self.config.shard} serves cold: {exc}", RuntimeWarning, stacklevel=1
             )
-    scheduler = BatchScheduler(
-        batch_window=config.batch_window,
-        max_queue=config.max_queue,
-        max_batch=config.max_batch,
-        workers=1,
-        cache=cache,
-        shard=config.shard,
-    )
-    # The worker keeps its own trace rings so the front can fan ``/traces``
-    # lookups out over the control pipe.  No logger: the front records the
-    # full merged trace and owns slow-request log emission.
-    recorder = TraceRecorder(
-        config.trace_ring,
-        slow_threshold_seconds=config.slow_request_seconds,
-        exemplar_interval=config.trace_exemplar_interval,
-        logger=None,
-    )
 
+    def spill(self) -> int:
+        """Write the cache snapshot now (blocking); the entry count written."""
+        return 0 if self._snapshot is None else self.scheduler.cache.spill(self._snapshot)
+
+    def start_spilling(self) -> None:
+        """Spill every ``spill_interval`` seconds on the running loop."""
+        if self._snapshot is not None and self.config.spill_interval > 0:
+            self._spill_task = asyncio.get_running_loop().create_task(self._spill_periodically())
+
+    async def _spill_periodically(self) -> None:
+        loop = asyncio.get_running_loop()
+        while True:
+            await asyncio.sleep(self.config.spill_interval)
+            await loop.run_in_executor(None, self.spill)
+
+    async def submit(
+        self, model: object, policy: object, deadline: float | None, trace: TraceBuilder
+    ) -> tuple[str, dict]:
+        """Answer one solve: ``("ok", result)`` or ``("error", error_fields)``.
+
+        The scheduler records its spans on ``trace``, and the shard's ring
+        keeps the trace as it stands when the answer is ready.
+        """
+        try:
+            result = await self.scheduler.submit(
+                model, policy, deadline=deadline, trace=trace  # type: ignore[arg-type]
+            )
+        except ServiceError as error:
+            self.traces.record(trace.finish(error.code))
+            return "error", {
+                "code": error.code,
+                "message": str(error),
+                "http_status": error.http_status,
+                "retry_after": error.retry_after,
+            }
+        except Exception as error:  # noqa: BLE001 - reported, never a hung waiter
+            self.traces.record(trace.finish("internal-error"))
+            return "error", {
+                "code": "internal-error",
+                "message": f"{type(error).__name__}: {error}",
+                "http_status": 500,
+                "retry_after": None,
+            }
+        outcome = result.outcome
+        self.traces.record(trace.finish("ok"))
+        return "ok", {
+            "solver": outcome.solver,
+            "stable": outcome.stable,
+            "metrics": dict(outcome.metrics),
+            "error": outcome.error,
+            "cached": result.cached,
+            "coalesced": result.coalesced,
+        }
+
+    async def control(self, kind: str, *args: object) -> tuple[str, object] | None:
+        """Answer one control-plane message; ``None`` for an unknown kind."""
+        if kind == "stats":
+            stats = dict(self.scheduler.stats())
+            stats["shard"] = self.config.shard
+            stats["metrics"] = self.scheduler.metrics_snapshot()
+            return "stats", stats
+        if kind == "spill":
+            return "spilled", await asyncio.get_running_loop().run_in_executor(None, self.spill)
+        if kind == "trace":
+            found = self.traces.find(str(args[0]))
+            return "trace", {"trace": found.to_dict() if found is not None else None}
+        if kind == "traces":
+            params = args[0]
+            assert isinstance(params, dict)
+            listed = self.traces.query(slow=bool(params["slow"]), limit=int(params["limit"]))
+            return "traces", {"traces": [retained.to_dict() for retained in listed]}
+        return None
+
+    async def close(self) -> None:
+        """Stop spilling, fail the backlog, drain running batches, spill once more."""
+        if self._spill_task is not None:
+            self._spill_task.cancel()
+            await asyncio.gather(self._spill_task, return_exceptions=True)
+            self._spill_task = None
+        await self.scheduler.close()
+        await asyncio.get_running_loop().run_in_executor(None, self.spill)
+
+
+def worker_main(config: ShardWorkerConfig, conn: "Connection") -> None:
+    """Run one shard worker until told to shut down (process entry point)."""
+    asyncio.run(_serve_pipe(ShardCore(config), conn))
+
+
+async def _serve_pipe(core: ShardCore, conn: "Connection") -> None:
+    loop = asyncio.get_running_loop()
+    core.load()
+    core.start_spilling()
     inbox: asyncio.Queue[tuple] = asyncio.Queue()
     outbox: queue.Queue[tuple | None] = queue.Queue()
     answer_tasks: set[asyncio.Task] = set()
@@ -140,7 +239,7 @@ async def _worker_async(config: ShardWorkerConfig, conn: "Connection") -> None:
         # A worker process dies gracefully on SIGTERM: the handler enqueues
         # the same shutdown message the front would send onto the worker's
         # *own* inbox, so the cache still spills.  Inside a thread (the
-        # coverage harness) signals belong to the host process and are left
+        # protocol tests) signals belong to the host process and are left
         # alone.
         try:
             loop.add_signal_handler(signal.SIGTERM, inbox.put_nowait, ("shutdown",))
@@ -159,8 +258,6 @@ async def _worker_async(config: ShardWorkerConfig, conn: "Connection") -> None:
                 message = conn.recv()
             except (EOFError, OSError):
                 message = ("shutdown",)
-            if not isinstance(message, tuple) or not message:
-                continue
             try:
                 loop.call_soon_threadsafe(inbox.put_nowait, message)
             except RuntimeError:  # pragma: no cover - loop already closed
@@ -178,90 +275,24 @@ async def _worker_async(config: ShardWorkerConfig, conn: "Connection") -> None:
             except (BrokenPipeError, OSError):  # pragma: no cover - front died
                 return
 
-    reader = threading.Thread(target=_read_loop, name=f"shard-{config.shard}-read", daemon=True)
-    writer = threading.Thread(target=_write_loop, name=f"shard-{config.shard}-write", daemon=True)
+    shard = core.config.shard
+    reader = threading.Thread(target=_read_loop, name=f"shard-{shard}-read", daemon=True)
+    writer = threading.Thread(target=_write_loop, name=f"shard-{shard}-write", daemon=True)
     reader.start()
     writer.start()
 
     async def _answer(
-        request_id: int,
-        model: object,
-        policy: object,
-        deadline: float | None,
-        trace_id: str | None,
+        request_id: int, model: object, policy: object, deadline: float | None, trace_id: str
     ) -> None:
-        # The worker builds its own span set relative to its own clock; the
-        # front re-bases the offsets by the pipe-send instant on its side.
+        # The spans are offsets from this worker's trace start; the front
+        # re-bases them onto its own clock.
         trace = TraceBuilder(trace_id=trace_id)
-        try:
-            result = await scheduler.submit(
-                model, policy, deadline=deadline, trace=trace  # type: ignore[arg-type]
-            )
-        except asyncio.CancelledError:
-            raise
-        except ServiceError as error:
-            recorder.record(trace.finish(error.code))
-            outbox.put(
-                (
-                    request_id,
-                    "error",
-                    {
-                        "code": error.code,
-                        "message": str(error),
-                        "http_status": error.http_status,
-                        "retry_after": error.retry_after,
-                    },
-                )
-            )
-            return
-        except Exception as error:  # noqa: BLE001 - reported, never a hung waiter
-            recorder.record(trace.finish("internal-error"))
-            outbox.put(
-                (
-                    request_id,
-                    "error",
-                    {
-                        "code": "internal-error",
-                        "message": f"{type(error).__name__}: {error}",
-                        "http_status": 500,
-                        "retry_after": None,
-                    },
-                )
-            )
-            return
-        outcome = result.outcome
-        recorder.record(trace.finish("ok"))
-        outbox.put(
-            (
-                request_id,
-                "ok",
-                {
-                    "solver": outcome.solver,
-                    "stable": outcome.stable,
-                    "metrics": dict(outcome.metrics),
-                    "error": outcome.error,
-                    "cached": result.cached,
-                    "coalesced": result.coalesced,
-                    "trace": {"spans": [span.to_dict() for span in trace.spans]},
-                },
-            )
-        )
+        kind, payload = await core.submit(model, policy, deadline, trace)
+        if kind == "ok":
+            payload["spans"] = [span.to_dict() for span in trace.spans]
+        outbox.put((request_id, kind, payload))
 
-    def _spill_now() -> int:
-        if snapshot is None:
-            return 0
-        return cache.spill(snapshot)
-
-    async def _periodic_spill() -> None:
-        while True:
-            await asyncio.sleep(config.spill_interval)
-            await loop.run_in_executor(None, _spill_now)
-
-    spill_task: asyncio.Task | None = None
-    if snapshot is not None and config.spill_interval > 0:
-        spill_task = loop.create_task(_periodic_spill())
-
-    outbox.put(("ready", config.shard))
+    outbox.put(("ready", shard))
     try:
         while True:
             message = await inbox.get()
@@ -269,53 +300,19 @@ async def _worker_async(config: ShardWorkerConfig, conn: "Connection") -> None:
             if kind == "shutdown":
                 break
             if kind == "solve":
-                _, request_id, model, policy, deadline = message[:5]
-                trace_id = message[5] if len(message) > 5 else None
-                task = loop.create_task(
-                    _answer(request_id, model, policy, deadline, trace_id)
-                )
+                task = loop.create_task(_answer(*message[1:]))
                 answer_tasks.add(task)
                 task.add_done_callback(answer_tasks.discard)
-            elif kind == "stats":
-                stats = dict(scheduler.stats())
-                stats["shard"] = config.shard
-                stats["metrics"] = scheduler.metrics_snapshot()
-                outbox.put((message[1], "stats", stats))
-            elif kind == "spill":
-                count = await loop.run_in_executor(None, _spill_now)
-                outbox.put((message[1], "spilled", count))
-            elif kind == "trace" and len(message) > 2:
-                found = recorder.find(str(message[2]))
-                outbox.put(
-                    (
-                        message[1],
-                        "trace",
-                        {"trace": found.to_dict() if found is not None else None},
-                    )
-                )
-            elif kind == "traces":
-                params = message[2] if len(message) > 2 and isinstance(message[2], dict) else {}
-                listed = recorder.query(
-                    slow=bool(params.get("slow", False)),
-                    limit=int(params.get("limit", 32)),
-                )
-                outbox.put(
-                    (
-                        message[1],
-                        "traces",
-                        {"traces": [retained.to_dict() for retained in listed]},
-                    )
-                )
-            # Unknown message kinds are ignored: a newer front speaking to an
-            # older worker must degrade, not crash the shard.
+                continue
+            reply = await core.control(kind, *message[2:])
+            # Unknown message kinds get no reply and never kill the shard.
+            if reply is not None:
+                outbox.put((message[1], *reply))
     finally:
         if sigterm_installed:
             loop.remove_signal_handler(signal.SIGTERM)
-        if spill_task is not None:
-            spill_task.cancel()
         if answer_tasks:
             await asyncio.gather(*tuple(answer_tasks), return_exceptions=True)
-        await scheduler.close()
-        await loop.run_in_executor(None, _spill_now)
+        await core.close()
         outbox.put(None)
         await loop.run_in_executor(None, writer.join)

@@ -507,7 +507,7 @@ class TestCacheStatsCommand:
             exit_code = main(["cache-stats", "--url", service.address, "--json"])
             payload = json.loads(capsys.readouterr().out)
             assert exit_code == 0
-            assert payload["scheduler"]["cache"]["solves"] == 1
+            assert payload["totals"]["solves"] == 1
 
     def test_unreachable_service_reports_an_error(self, capsys):
         exit_code = main(["cache-stats", "--url", "http://127.0.0.1:9"])

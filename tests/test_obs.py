@@ -509,23 +509,35 @@ def _assert_runtime_reported(health: dict, text: str) -> None:
         assert threads == {}
 
 
+@pytest.fixture(scope="class")
+def metrics_service(request):
+    """One live service per test class, with the class's shard count."""
+    config = ServiceConfig(port=0, workers=request.cls.workers, batch_window=0.002)
+    with ThreadedService(config) as running:
+        yield running
+
+
 class TestServiceMetricsEndpoint:
-    def test_single_process_metrics_agree_with_stats(self):
-        config = ServiceConfig(port=0, batch_window=0.002)
-        with ThreadedService(config) as service:
-            with ServiceClient(service.host, service.port, timeout=120.0) as client:
-                for servers in (3, 4, 5, 4, 3):
-                    payload = client.solve_ok(
-                        {"model": {"servers": servers, "arrival_rate": 1.0}}
-                    )
-                    assert re.fullmatch(r"[0-9a-f]{16}", payload["trace_id"])
-                stats = client.stats()
-                status, text = client.metrics()
-                health = client.healthz().payload
+    """``/metrics`` against ``/stats`` and ``/healthz``; the base class runs
+    one in-process shard, :class:`TestServiceMetricsEndpointOnTwoShards` two
+    worker processes."""
+
+    workers = 1
+
+    def test_single_process_metrics_agree_with_stats(self, metrics_service):
+        with ServiceClient(metrics_service.host, metrics_service.port, timeout=120.0) as client:
+            for servers in (3, 4, 5, 4, 3):
+                payload = client.solve_ok(
+                    {"model": {"servers": servers, "arrival_rate": 1.0}}
+                )
+                assert re.fullmatch(r"[0-9a-f]{16}", payload["trace_id"])
+            stats = client.stats()
+            status, text = client.metrics()
+            health = client.healthz().payload
         assert status == 200
         _assert_runtime_reported(health, text)
         assert health["queue_depth"] == 0
-        requests_total = stats.payload["scheduler"]["requests_total"]
+        requests_total = stats.payload["totals"]["requests_total"]
         counts = _metric_values(text, "repro_solve_latency_seconds_count")
         assert sum(counts.values()) == requests_total
         totals = _metric_values(text, "repro_requests_total")
@@ -533,42 +545,42 @@ class TestServiceMetricsEndpoint:
         assert _metric_values(text, "repro_http_responses_total")
         assert _metric_values(text, "repro_uptime_seconds")
 
-    def test_responses_echo_trace_ids_in_headers_and_payloads(self):
-        config = ServiceConfig(port=0, batch_window=0.0)
-        with ThreadedService(config) as service:
-            with ServiceClient(service.host, service.port, timeout=120.0) as client:
-                solved = client.solve({"model": {"servers": 4, "arrival_rate": 2.0}})
-                assert solved.headers["x-trace-id"] == solved.payload["trace_id"]
-                health = client.healthz()
-                assert health.headers["x-trace-id"] == health.payload["trace_id"]
-                assert health.payload["version"]
-                stats = client.stats()
-                assert stats.headers["x-trace-id"] == stats.payload["trace_id"]
-                failed = client.solve({"model": {"servers": 4}})
-                assert failed.status == 400
-                assert failed.headers["x-trace-id"] == failed.payload["trace_id"]
+    def test_responses_echo_trace_ids_in_headers_and_payloads(self, metrics_service):
+        with ServiceClient(metrics_service.host, metrics_service.port, timeout=120.0) as client:
+            solved = client.solve({"model": {"servers": 4, "arrival_rate": 2.0}})
+            assert solved.headers["x-trace-id"] == solved.payload["trace_id"]
+            health = client.healthz()
+            assert health.headers["x-trace-id"] == health.payload["trace_id"]
+            assert health.payload["version"]
+            stats = client.stats()
+            assert stats.headers["x-trace-id"] == stats.payload["trace_id"]
+            failed = client.solve({"model": {"servers": 4}})
+            assert failed.status == 400
+            assert failed.headers["x-trace-id"] == failed.payload["trace_id"]
 
-    def test_sharded_metrics_count_equals_stats_total(self):
-        config = ServiceConfig(port=0, workers=2, batch_window=0.002)
-        with ThreadedService(config) as service:
-            with ServiceClient(service.host, service.port, timeout=120.0) as client:
-                for index in range(12):
-                    client.solve_ok(
-                        {"model": {"servers": 3 + index % 4, "arrival_rate": 1.1}}
-                    )
-                stats = client.stats()
-                status, text = client.metrics()
-                health = client.healthz().payload
+    def test_sharded_metrics_count_equals_stats_total(self, metrics_service):
+        with ServiceClient(metrics_service.host, metrics_service.port, timeout=120.0) as client:
+            for index in range(12):
+                client.solve_ok(
+                    {"model": {"servers": 3 + index % 4, "arrival_rate": 1.1}}
+                )
+            stats = client.stats()
+            status, text = client.metrics()
+            health = client.healthz().payload
         assert status == 200
         _assert_runtime_reported(health, text)
-        assert health["workers_ready"] == 2
-        assert stats.payload["workers"] == 2
+        assert health["workers_ready"] == self.workers
+        assert stats.payload["workers"] == self.workers
         requests_total = stats.payload["totals"]["requests_total"]
         counts = _metric_values(text, "repro_solve_latency_seconds_count")
-        assert len(counts) == 2  # one histogram per shard
+        assert len(counts) == self.workers  # one histogram per shard
         assert sum(counts.values()) == requests_total
         shards = _metric_values(text, "repro_workers_ready")
-        assert shards[""] == 2.0
+        assert shards[""] == float(self.workers)
+
+
+class TestServiceMetricsEndpointOnTwoShards(TestServiceMetricsEndpoint):
+    workers = 2
 
 
 # --------------------------------------------------------------------------- #
@@ -917,13 +929,13 @@ class TestLatencyAwareOverloadControl:
                 assert error["shed_tier"] == "steady-state"
 
                 stats = client.stats().payload
-                scheduler_stats = stats["scheduler"]
+                scheduler_stats = stats["shards"][0]["scheduler"]
                 # The depth thresholds were nowhere near: the queue is all but
                 # empty while measured latency does the shedding.
                 assert scheduler_stats["queue_depth"] <= 1
                 assert scheduler_stats["queue_depth"] < 0.7 * config.max_queue
-                assert scheduler_stats["shed_total"] >= 1
-                assert scheduler_stats["shed_by_tier"].get("steady-state", 0) >= 1
+                assert stats["shedding"]["shed_total"] >= 1
+                assert stats["shedding"]["by_tier"].get("steady-state", 0) >= 1
                 assert stats["slo"]["pressure"] >= 1.0
 
                 status, text = client.metrics()

@@ -1,12 +1,13 @@
-"""Tests for the sharded multi-process serving tier.
+"""Tests for sharding: the ring, admission, and the worker-process shards.
 
 Pure units first (the consistent-hash ring, the tiered shedding rule, the
-shard worker protocol driven in-thread over a real pipe), then the headline
-routing invariants against a live 4-shard :class:`ThreadedService`: identical
-concurrent requests collapse onto one shard and one solve, a killed worker
-surfaces the structured retryable ``worker-crashed`` error and the pool
-recovers, and a spill → restart → load cycle serves the old answer without
-re-solving.
+choice of shard transport, the shard worker protocol driven in-thread over a
+real pipe), then the headline routing invariants against a live 4-shard
+:class:`ThreadedService`: identical concurrent requests collapse onto one
+shard and one solve, a killed worker surfaces the structured retryable
+``worker-crashed`` error and the shard recovers, a worker that dies before
+its ready handshake fails start-up at once, and a spill → restart → load
+cycle serves the old answer without re-solving.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import threading
 import time
 
 import pytest
+from dying_worker import exit_at_once
 
 from repro import package_version
 from repro.blas import blas_runtime
@@ -32,16 +34,16 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ShardWorkerConfig,
-    ShardedService,
     SolverService,
     ThreadedService,
     WorkerCrashedError,
-    build_service,
     shard_cache_path,
     shed_decision,
     stable_key_digest,
     worker_main,
 )
+from repro.service import sharding
+from repro.service.sharding import LocalShard, ProcessShard
 from repro.solvers import SolutionCache, SolverPolicy, solution_cache_key
 
 
@@ -137,13 +139,17 @@ class TestShedDecision:
 
 
 class TestBuildService:
+    """One front for every worker count; only the shard transport differs."""
+
     def test_single_worker_builds_the_plain_service(self):
-        service = build_service(ServiceConfig(port=0, workers=1))
-        assert type(service) is SolverService
+        service = SolverService(ServiceConfig(port=0, workers=1))
+        assert [type(shard) for shard in service._shards] == [LocalShard]
+        assert [shard.shard for shard in service._shards] == [0]
 
     def test_multiple_workers_build_the_sharded_service(self):
-        service = build_service(ServiceConfig(port=0, workers=3))
-        assert isinstance(service, ShardedService)
+        service = SolverService(ServiceConfig(port=0, workers=3))
+        assert [type(shard) for shard in service._shards] == [ProcessShard] * 3
+        assert [shard.shard for shard in service._shards] == [0, 1, 2]
 
 
 class TestWorkerProtocol:
@@ -162,13 +168,13 @@ class TestWorkerProtocol:
 
         assert receive() == ("ready", 3)
         model = sun_fitted_model(num_servers=4, arrival_rate=2.0)
-        parent.send(("solve", 1, model, SolverPolicy(), None))
+        parent.send(("solve", 1, model, SolverPolicy(), None, "a" * 16))
         request_id, kind, result = receive()
         assert (request_id, kind) == (1, "ok")
         assert result["solver"] == "spectral"
         assert result["cached"] is False
 
-        parent.send(("solve", 2, model, SolverPolicy(), None))
+        parent.send(("solve", 2, model, SolverPolicy(), None, "b" * 16))
         _, _, repeat = receive()
         assert repeat["cached"] is True
 
@@ -209,7 +215,7 @@ class TestWorkerProtocol:
             assert parent.poll(120.0), "worker never finished the ready handshake"
             assert parent.recv() == ("ready", 1)
             model = sun_fitted_model(num_servers=4, arrival_rate=2.0)
-            parent.send(("solve", 1, model, SolverPolicy(), None))
+            parent.send(("solve", 1, model, SolverPolicy(), None, "c" * 16))
             assert parent.poll(120.0), "worker never answered the solve"
             _, kind, _ = parent.recv()
             assert kind == "ok"
@@ -330,9 +336,9 @@ class TestCrashRecovery:
             with ServiceClient(running.host, running.port, timeout=120.0) as client:
                 first = client.solve_ok(request)
                 shard = first["shard"]
-                handle = running.service._handles[shard]
-                handle.process.kill()
-                handle.process.join()
+                process = running.service._shards[shard].process
+                process.kill()
+                process.join()
 
                 saw_crash_error = False
                 recovered = None
@@ -384,9 +390,9 @@ class TestCrashRecovery:
                 scrapers = [threading.Thread(target=scrape) for _ in range(3)]
                 for thread in scrapers:
                     thread.start()
-                handle = running.service._handles[shard]
-                handle.process.kill()
-                handle.process.join()
+                process = running.service._shards[shard].process
+                process.kill()
+                process.join()
                 recovered = False
                 deadline = time.monotonic() + 60.0
                 while time.monotonic() < deadline:
@@ -418,29 +424,45 @@ class TestCrashRecovery:
         assert restarts == 1.0
 
     def test_simultaneous_crash_reports_respawn_only_once(self):
-        """The health sweep and the pipe-EOF callback can both report one
+        """The health check and the pipe-EOF callback can both report one
         death; retiring the generation on the loop lets only the first
         schedule a respawn, so a shard never ends up with two processes."""
 
         async def run():
-            service = ShardedService(ServiceConfig(port=0, workers=2))
-            service._loop = asyncio.get_running_loop()
+            shard = ProcessShard(ShardWorkerConfig(shard=0))
+            shard._loop = asyncio.get_running_loop()
+            shard._first_ready = shard._loop.create_future()
+            shard._first_ready.set_result(True)
             respawned: list[int] = []
 
-            async def fake_respawn(handle):
-                respawned.append(handle.shard)
+            async def fake_respawn():
+                respawned.append(shard.shard)
 
-            service._respawn = fake_respawn
-            handle = service._handles[0]
-            handle.state = "ready"
-            generation = handle.generation
-            service._on_worker_down(handle, generation)  # health sweep wins
-            service._on_worker_down(handle, generation)  # stale EOF report
+            shard._respawn = fake_respawn
+            shard.state = "ready"
+            generation = shard.generation
+            shard._on_down(generation)  # health check wins
+            shard._on_down(generation)  # stale EOF report
             await asyncio.sleep(0)
             assert respawned == [0]
-            assert handle.restarts == 1
+            assert shard.restarts == 1
 
         asyncio.run(run())
+
+
+class TestStartupFailure:
+    def test_a_worker_dying_before_its_handshake_fails_start_at_once(self, monkeypatch):
+        """A shard that was never ready is broken, not crashed: no respawn
+        loop until the handshake timeout, but an immediate start-up failure
+        that names the shard and its exit code, with no child left behind."""
+        monkeypatch.setattr(sharding, "worker_main", exit_at_once)
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="failed to start") as failure:
+            ThreadedService(ServiceConfig(port=0, workers=2)).start()
+        assert time.monotonic() - started < 10.0
+        assert "exited with code 3 before its ready handshake" in str(failure.value.__cause__)
+        assert set(multiprocessing.active_children()) - before == set()
 
 
 class TestControlPlaneAdmission:
@@ -449,15 +471,14 @@ class TestControlPlaneAdmission:
         or inflate the reported queue depth."""
 
         async def run():
-            service = ShardedService(ServiceConfig(port=0, workers=2, max_queue=4))
+            service = SolverService(ServiceConfig(port=0, workers=2, max_queue=4))
             loop = asyncio.get_running_loop()
-            handle = service._handles[0]
-            handle.state = "ready"
+            shard = service._shards[0]
+            shard.state = "ready"
             for request_id in range(100):
-                handle.control_pending[request_id] = loop.create_future()
-            service._admit("steady-state", 0, handle)  # must not raise
-            payload = await service._healthz_payload()
-            assert payload["queue_depth"] == 0
+                shard.waiters[request_id] = loop.create_future()
+            service._admit("steady-state", 0)  # must not raise
+            assert service._healthz_payload()["queue_depth"] == 0
 
         asyncio.run(run())
 
@@ -466,17 +487,16 @@ class TestControlPlaneAdmission:
         alone sheds the cheap tier while zero requests are pending."""
 
         async def run():
-            service = ShardedService(ServiceConfig(port=0, workers=2, max_queue=8))
-            handle = service._handles[0]
-            handle.state = "ready"
-            service._admit("steady-state", 0, handle)  # healthy tracker: admitted
+            service = SolverService(ServiceConfig(port=0, workers=2, max_queue=8))
+            service._shards[0].state = "ready"
+            service._admit("steady-state", 0)  # healthy tracker: admitted
             for _ in range(20):
                 service.slo.observe_queue_wait(50.0)  # way over the 2 s target
             assert service.slo.pressure() >= 1.0
             with pytest.raises(LoadShedError) as shed:
-                service._admit("steady-state", 0, handle)
+                service._admit("steady-state", 0)
             assert shed.value.payload()["shed_tier"] == "steady-state"
-            assert sum(len(h.pending) for h in service._handles) == 0
+            assert sum(shard.inflight for shard in service._shards) == 0
 
         asyncio.run(run())
 

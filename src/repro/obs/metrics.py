@@ -473,8 +473,9 @@ class MetricsRegistry:
 #: ``/metrics`` in both serving tiers.
 _NUMERICS_REGISTRY = MetricsRegistry()
 
-#: Bucket bounds for IAD sweep-count histograms: small integer counts up to
-#: the kernel's ``MAX_IAD_SWEEPS`` cap.
+#: Bucket bounds for iteration-count histograms (IAD sweeps, logarithmic-
+#: reduction steps): small integer counts up to the kernel's
+#: ``MAX_IAD_SWEEPS`` cap.
 SWEEP_COUNT_BUCKETS: tuple[float, ...] = (
     1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0,
 )

@@ -60,9 +60,9 @@ def _tail_decay_rate(model: "ChainModel") -> float:
     """The queue-length decay rate used to size the truncation.
 
     The dominant eigenvalue ``z_s`` of the characteristic polynomial when the
-    chain is the homogeneous pool and the robust spectral-abscissa root
-    finder succeeds; the effective load otherwise (non-Markovian periods,
-    critically loaded or ill-conditioned pools, and every other scenario).
+    chain is the homogeneous pool and :func:`~repro.spectral.decay_rate`
+    finds it on one server; the effective load otherwise (non-Markovian
+    periods, unstable or ill-conditioned pools, and every other scenario).
     """
     if isinstance(model, UnreliableQueueModel):
         pool = model
@@ -72,16 +72,9 @@ def _tail_decay_rate(model: "ChainModel") -> float:
         except ParameterError:
             return model.effective_load
     try:
-        from ..spectral.approximation import decay_rate_bisection
-        from ..spectral.qbd import ModulatedQueueMatrices
+        from ..spectral.approximation import decay_rate
 
-        # A K = 1, R = N scenario has the pool's environment: reuse it.
-        matrices = ModulatedQueueMatrices(
-            environment=model.environment,
-            arrival_rate=pool.arrival_rate,
-            service_rate=pool.service_rate,
-        )
-        return decay_rate_bisection(matrices)
+        return decay_rate(pool)
     except ReproError:
         return model.effective_load
 

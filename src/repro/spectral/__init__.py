@@ -5,43 +5,29 @@ Public API
 
 * :class:`ModulatedQueueMatrices` — the QBD matrices ``A``, ``B``, ``C_j`` and
   the characteristic-polynomial coefficients ``Q0, Q1, Q2`` (Section 3.1).
-* :func:`solve_quadratic_eigenproblem`, :func:`eigenvalues_inside_unit_disk`,
-  :class:`SpectralEigensystem` — the generalized eigenvalues/eigenvectors of
-  ``Q(z)`` inside the unit disk (Eq. 17–18).
+* :func:`rate_matrix` — the minimal non-negative solution ``R`` of
+  ``Q0 + R Q1 + R^2 Q2 = 0`` by logarithmic reduction; the expansion of
+  Eq. 19 is ``v_{N+t} = v_N R^t``, and :func:`eigenvalues_inside_unit_disk`
+  returns the eigenvalues of ``R``, the ``z_k`` of Eq. 17–18.
 * :func:`solve_spectral`, :class:`SpectralSolution` — the exact steady-state
   solution (Eq. 19–20) with all performance metrics.
-* :func:`solve_geometric`, :class:`GeometricSolution`,
-  :func:`decay_rate_bisection`, :func:`decay_rate_from_eigensystem` — the
-  heavy-load geometric approximation (Eq. 21).
+* :func:`solve_geometric`, :class:`GeometricSolution`, :func:`decay_rate` —
+  the heavy-load geometric approximation (Eq. 21) and the decay rate ``z_s``,
+  both computed on one server.
 """
 
-from .approximation import (
-    GeometricSolution,
-    decay_rate_bisection,
-    decay_rate_from_eigensystem,
-    solve_geometric,
-)
-from .eigen import (
-    SpectralEigensystem,
-    eigenvalues_inside_unit_disk,
-    perron_left_null_vector,
-    solve_quadratic_eigenproblem,
-    spectral_abscissa,
-)
+from .approximation import GeometricSolution, decay_rate, solve_geometric
+from .eigen import eigenvalues_inside_unit_disk, rate_matrix
 from .qbd import ModulatedQueueMatrices
 from .solution import SpectralSolution, solve_spectral
 
 __all__ = [
     "ModulatedQueueMatrices",
-    "SpectralEigensystem",
-    "solve_quadratic_eigenproblem",
+    "rate_matrix",
     "eigenvalues_inside_unit_disk",
-    "spectral_abscissa",
-    "perron_left_null_vector",
     "SpectralSolution",
     "solve_spectral",
     "GeometricSolution",
     "solve_geometric",
-    "decay_rate_bisection",
-    "decay_rate_from_eigensystem",
+    "decay_rate",
 ]

@@ -1,11 +1,9 @@
-"""The geometric (heavy-load) approximation of Section 3.2.
+"""The geometric (heavy-load) approximation of Section 3.2 and the decay rate ``z_s``.
 
-The exact spectral expansion needs all ``s`` eigenvalues inside the unit disk
-plus the boundary solve; for large ``N`` or many phases it becomes expensive
-and numerically fragile (the paper observes warnings from about ``N = 24``).
-The approximation keeps only the dominant eigenvalue ``z_s`` — always real
-and positive — and assumes the queue length is geometric with parameter
-``z_s`` and independent of the operational mode (paper Eq. 21):
+The exact spectral expansion needs the whole rate matrix ``R`` plus the
+boundary solve.  The approximation keeps only the dominant eigenvalue ``z_s``
+— always real and positive — and assumes the queue length is geometric with
+parameter ``z_s`` and independent of the operational mode (paper Eq. 21):
 
 .. math::
 
@@ -14,16 +12,28 @@ and positive — and assumes the queue length is geometric with parameter
 It requires only one eigenvalue/eigenvector pair and is asymptotically exact
 as the load approaches saturation (Mitrani 2005, reference [4] of the paper).
 
-Two ways of computing ``z_s`` are provided:
+``z_s`` is found on one server.  For the homogeneous pool (``K = 1, R = N``)
 
-* :func:`decay_rate_bisection` — the numerically robust method: ``z_s`` is
-  the unique root in ``(0, 1)`` of the spectral abscissa of ``Q(z)`` (the
-  matrices ``Q(z)`` have non-negative off-diagonal entries, so their spectral
-  abscissa is a real Perron eigenvalue, convex in ``z``, equal to ``0`` at
-  ``z = 1``); Brent's method finds it without ever forming the full
-  eigensystem.
-* :func:`decay_rate_from_eigensystem` — take the largest-modulus eigenvalue
-  of the full quadratic eigenproblem; used for cross-validation in tests.
+.. math::
+
+    Q(z) / z = (A - D^A) + (1 - z) (\\lambda / z \\cdot I - \\mu X)
+
+is, lumped onto the modes, a Kronecker sum over the ``N`` identical servers
+of one server's ``(n + m) x (n + m)`` matrix ``T - (1 - z) mu D`` (``T`` the
+generator of its phases, ``D`` the indicator of its operative phases) plus
+``lambda (1 - z) / z``.  Its Perron root is therefore
+``lambda (1 - z) / z + N rho(z)``, with ``rho(z)`` the server's Perron root,
+and ``z_s`` is the root of that in ``(0, 1)``.  Times ``z / N`` the same
+expression is the Perron root of
+``q(z) = lambda / N I + (T - lambda / N I - mu D) z + mu D z^2``, the
+characteristic polynomial of one server fed ``lambda / N``: ``z_s`` is the
+spectral radius of that server's rate matrix, which
+:func:`~repro.spectral.eigen.rate_matrix` computes in ``(n + m) x (n + m)``
+arithmetic whatever ``N``.  The mode vector ``u_s``, the left Perron vector
+of ``Q(z_s)``, is the product of ``N`` copies of the server's left Perron
+vector ``p`` lumped onto the modes: a mode with ``x_j`` servers in operative
+phase ``j`` and ``y_k`` in inoperative phase ``k`` weighs
+``N! / (prod x_j! prod y_k!) prod p_j^x_j prod p_k^y_k``.
 """
 
 from __future__ import annotations
@@ -31,87 +41,70 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.optimize
+from scipy.special import gammaln
 
 from ..blas import single_threaded_blas
 from ..exceptions import SolverError
+from ..markov.scenario_env import _as_phase_mixture
 from ..queueing.model import UnreliableQueueModel
 from ..queueing.solution_base import QueueSolution
-from .eigen import (
-    eigenvalues_inside_unit_disk,
-    perron_left_null_vector,
-    spectral_abscissa,
-)
-from .qbd import ModulatedQueueMatrices
+from .eigen import rate_matrix
+
+#: Largest negative entry accepted in the server's left Perron vector.
+_PERRON_NEGATIVITY_TOLERANCE = 1e-6
+
+
+def _server_perron_pair(model: UnreliableQueueModel) -> tuple[float, np.ndarray]:
+    """``z_s`` and one server's left Perron vector.
+
+    Returns the spectral radius of the rate matrix of one server fed
+    ``lambda / N`` arrivals and its left Perron vector, indexed by the
+    phases in the order ``(operative phases, inoperative phases)`` and
+    summing to one.
+    """
+    alpha, xi = _as_phase_mixture(model.operative, "operative")
+    beta, eta = _as_phase_mixture(model.inoperative, "inoperative")
+    # Breakdowns leave operative phase j for inoperative phase k at
+    # xi_j beta_k, repairs go back at eta_k alpha_j (paper Eq. 9, one server).
+    # Built here rather than by a one-server ScenarioEnvironment, whose sparse
+    # assembly costs more than the whole root.
+    moves = np.block(
+        [
+            [np.zeros((xi.size, xi.size)), np.outer(xi, beta)],
+            [np.outer(eta, alpha), np.zeros((eta.size, eta.size))],
+        ]
+    )
+    service = np.concatenate([np.full(xi.size, model.service_rate), np.zeros(eta.size)])
+    arrival = model.arrival_rate / model.num_servers
+    rate, _ = rate_matrix(
+        arrival * np.eye(service.size),
+        moves - np.diag(moves.sum(axis=1) + arrival + service),
+        np.diag(service),
+    )
+    values, vectors = np.linalg.eig(rate.T)
+    dominant = int(np.argmax(values.real))
+    vector = vectors[:, dominant].real
+    vector = vector / vector.sum()
+    if float(np.min(vector)) < -_PERRON_NEGATIVITY_TOLERANCE:
+        raise SolverError("the server's left Perron vector has significantly negative entries")
+    return float(values[dominant].real), np.clip(vector, 0.0, None)
 
 
 @single_threaded_blas()
-def decay_rate_bisection(
-    matrices: ModulatedQueueMatrices,
-    *,
-    tolerance: float = 1e-12,
-    max_iterations: int = 200,
-) -> float:
-    """The dominant eigenvalue ``z_s`` by root-finding on the spectral abscissa.
-
-    Parameters
-    ----------
-    matrices:
-        The QBD matrices of the model (must describe a stable queue).
-    tolerance:
-        Absolute tolerance on ``z_s``.
-    max_iterations:
-        Iteration budget passed to Brent's method.
+def decay_rate(model: UnreliableQueueModel) -> float:
+    """The dominant eigenvalue ``z_s`` of ``Q(z)``: the queue length's decay rate.
 
     Raises
     ------
+    UnstableQueueError
+        If the stability condition (paper Eq. 11) is violated.
+    ParameterError
+        If the period distributions are not exponential/hyperexponential.
     SolverError
-        If no sign change is bracketed in ``(0, 1)``, which happens when the
-        queue is unstable (the root moves to ``z >= 1``).
+        If the one-server reduction fails to converge.
     """
-
-    def abscissa(z: float) -> float:
-        return spectral_abscissa(matrices.characteristic_polynomial(z))
-
-    # The abscissa is positive at z -> 0+ (it tends to the arrival rate),
-    # zero at z = 1, and negative just left of 1 for a stable queue.  Scan for
-    # a bracketing interval starting near 1.
-    upper = 1.0 - 1e-12
-    value_upper = abscissa(upper)
-    if value_upper >= 0.0:
-        raise SolverError(
-            "the spectral abscissa is non-negative arbitrarily close to z = 1; "
-            "the queue appears to be unstable or critically loaded"
-        )
-    lower = 0.5
-    value_lower = abscissa(lower)
-    attempts = 0
-    while value_lower < 0.0 and attempts < 60:
-        lower *= 0.5
-        value_lower = abscissa(lower)
-        attempts += 1
-    if value_lower < 0.0:
-        raise SolverError("failed to bracket the decay rate in (0, 1)")
-    root, result = scipy.optimize.brentq(
-        abscissa,
-        lower,
-        upper,
-        xtol=tolerance,
-        maxiter=max_iterations,
-        full_output=True,
-    )
-    if not result.converged:  # pragma: no cover - brentq rarely fails once bracketed
-        raise SolverError("Brent iteration for the decay rate did not converge")
-    return float(root)
-
-
-@single_threaded_blas()
-def decay_rate_from_eigensystem(matrices: ModulatedQueueMatrices) -> float:
-    """The dominant eigenvalue obtained from the full quadratic eigenproblem."""
-    eigensystem = eigenvalues_inside_unit_disk(
-        matrices.q0, matrices.q1, matrices.q2, expected_count=matrices.num_modes
-    )
-    return eigensystem.dominant_eigenvalue
+    model.require_stable()
+    return _server_perron_pair(model)[0]
 
 
 class GeometricSolution(QueueSolution):
@@ -205,20 +198,8 @@ class GeometricSolution(QueueSolution):
 
 
 @single_threaded_blas()
-def solve_geometric(
-    model: UnreliableQueueModel, *, method: str = "bisection"
-) -> GeometricSolution:
+def solve_geometric(model: UnreliableQueueModel) -> GeometricSolution:
     """Approximate an :class:`UnreliableQueueModel` by the geometric law of Eq. 21.
-
-    Parameters
-    ----------
-    model:
-        The queueing model (must be stable and have exponential or
-        hyperexponential period distributions).
-    method:
-        ``"bisection"`` (default) computes the dominant eigenvalue by the
-        robust spectral-abscissa root finder; ``"eigensystem"`` extracts it
-        from the full quadratic eigenproblem (slower, used for validation).
 
     Raises
     ------
@@ -228,17 +209,12 @@ def solve_geometric(
         If the decay rate cannot be computed.
     """
     model.require_stable()
-    matrices = ModulatedQueueMatrices(
-        environment=model.environment,
-        arrival_rate=model.arrival_rate,
-        service_rate=model.service_rate,
+    decay, by_phase = _server_perron_pair(model)
+    # Per mode, the servers in each phase, in the same (operative, inoperative) order.
+    counts = np.array(
+        [operative + inoperative for ((operative, inoperative),) in model.environment.modes],
+        dtype=float,
     )
-    if method == "bisection":
-        decay = decay_rate_bisection(matrices)
-    elif method == "eigensystem":
-        decay = decay_rate_from_eigensystem(matrices)
-    else:
-        raise SolverError(f"unknown decay-rate method: {method!r}")
-    polynomial = matrices.characteristic_polynomial(decay)
-    mode_vector = perron_left_null_vector(polynomial)
+    log_multinomial = gammaln(model.num_servers + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+    mode_vector = np.exp(log_multinomial) * np.prod(by_phase**counts, axis=1)
     return GeometricSolution(model=model, decay_rate=decay, mode_vector=mode_vector)

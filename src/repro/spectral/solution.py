@@ -4,49 +4,48 @@ This module implements Section 3.1 of the paper end to end:
 
 1. build the QBD matrices ``A``, ``B``, ``C_j`` and the characteristic
    polynomial coefficients ``Q0, Q1, Q2`` (see :mod:`repro.spectral.qbd`);
-2. compute the ``s`` generalized eigenvalues inside the unit disk and their
-   left eigenvectors (paper Eq. 17–18, :mod:`repro.spectral.eigen`);
-3. write the repeating-portion probability vectors as the spectral expansion
-   ``v_j = sum_k gamma_k u_k z_k^j`` for ``j >= N`` (Eq. 19); for numerical
-   conditioning the implementation works with the *scaled* coefficients
-   ``c_k = gamma_k z_k^N`` so that ``v_j = sum_k c_k u_k z_k^(j-N)`` — the
-   two forms are mathematically identical, but the scaled one keeps the
-   boundary linear system well conditioned when some eigenvalues are tiny;
-4. determine the boundary vectors ``v_0 .. v_{N-1}`` and the coefficients
-   ``c_k`` from the balance equations at levels ``0 .. N`` plus the
-   normalisation condition (Eq. 14, 20).  The equations are block-tridiagonal
-   in the level, so a linear level reduction eliminates the boundary levels
-   with ``N`` real ``s x s`` inversions and leaves one ``s x s`` complex
-   system for ``c`` — ``O(N s^3)`` work instead of an ``O(N^3 s^3)`` dense
-   solve of all ``(N + 1) s`` unknowns at once;
-5. expose the queue-length distribution and all derived performance metrics
+2. compute the rate matrix ``R``, the minimal non-negative solution of
+   ``Q0 + R Q1 + R^2 Q2 = 0``, by logarithmic reduction
+   (:mod:`repro.spectral.eigen`).  Its eigenvalues are the ``s`` generalized
+   eigenvalues ``z_k`` inside the unit disk (paper Eq. 17–18), and the
+   expansion ``v_{N+t} = sum_k c_k u_k z_k^t`` of the repeating levels
+   (Eq. 19) is ``v_N R^t``, so no eigenvector is ever formed and every step
+   runs in real ``s x s`` arithmetic;
+3. determine the level vectors ``v_0 .. v_N`` from the balance equations
+   at levels ``0 .. N`` plus the normalisation condition (Eq. 14, 20).  The
+   equations are block-tridiagonal in the level, so a linear level reduction
+   eliminates the boundary levels with ``N`` real ``s x s`` inversions and
+   leaves one ``s x s`` system for ``v_N`` — ``O(N s^3)`` work instead of an
+   ``O(N^3 s^3)`` dense solve of all ``(N + 1) s`` unknowns at once;
+4. expose the queue-length distribution and all derived performance metrics
    through the :class:`SpectralSolution` object.
 
-The closed forms used for the infinite sums (with ``t = j - N``) are
+The closed forms used for the infinite sums (with ``t = j - N`` and
+``tau = (I - R)^{-1} 1``) are
 
 .. math::
 
-    \\sum_{t \\ge 0} z^t = \\frac{1}{1 - z}, \\qquad
-    \\sum_{t \\ge 0} (N + t) z^t = \\frac{N}{1 - z} + \\frac{z}{(1 - z)^2} .
+    \\sum_{t \\ge 0} v_N R^t = v_N (I - R)^{-1}, \\qquad
+    \\sum_{t \\ge 0} (N + t) v_N R^t 1 = (N - 1)\\, y 1 + y \\tau ,
+    \\quad y = v_N (I - R)^{-1} .
 """
 
 from __future__ import annotations
 
+import threading
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from ..blas import single_threaded_blas
 from ..exceptions import SolverError
-from ..obs.metrics import RESIDUAL_BUCKETS, numerics_registry
+from ..obs.metrics import RESIDUAL_BUCKETS, SWEEP_COUNT_BUCKETS, numerics_registry
 from ..queueing.model import UnreliableQueueModel
 from ..queueing.solution_base import QueueSolution
-from .eigen import SpectralEigensystem, eigenvalues_inside_unit_disk
+from .approximation import decay_rate
+from .eigen import eigenvalues_inside_unit_disk, rate_matrix
 from .qbd import ModulatedQueueMatrices
-
-#: Largest acceptable magnitude of the imaginary part left over after the
-#: complex-conjugate eigenvalue contributions are combined.
-_IMAGINARY_TOLERANCE = 1e-6
 
 #: Largest acceptable violation of non-negativity in computed probabilities.
 _NEGATIVITY_TOLERANCE = 1e-7
@@ -54,13 +53,22 @@ _NEGATIVITY_TOLERANCE = 1e-7
 #: Largest acceptable residual 2-norm of the boundary equations.
 _BOUNDARY_RESIDUAL_TOLERANCE = 1e-6
 
+#: Largest acceptable ``max|Q0 + R Q1 + R^2 Q2|`` of the rate matrix.
+_RATE_RESIDUAL_TOLERANCE = 1e-9
+
+#: Serialises growing a solution's cache of level vectors: each new row is
+#: computed from the current last one and appended, a check-then-act that two
+#: threads walking one solution would otherwise interleave.  Module-level, so
+#: solutions stay picklable.
+_ROWS_LOCK = threading.Lock()
+
 
 class SpectralSolution(QueueSolution):
     """The exact spectral-expansion solution of an unreliable multi-server queue.
 
     Instances are created by :func:`solve_spectral` (or the convenience method
     :meth:`repro.queueing.model.UnreliableQueueModel.solve_spectral`); the
-    constructor wires together the eigensystem and boundary solution and is
+    constructor wires together the rate matrix and the level vectors and is
     not meant to be called directly by users.
     """
 
@@ -68,21 +76,19 @@ class SpectralSolution(QueueSolution):
         self,
         model: UnreliableQueueModel,
         matrices: ModulatedQueueMatrices,
-        eigensystem: SpectralEigensystem,
-        boundary_vectors: np.ndarray,
-        expansion_coefficients: np.ndarray,
+        rate_matrix: np.ndarray,
+        levels: np.ndarray,
         boundary_residual: float,
+        rate_residual: float,
     ) -> None:
         self._model = model
         self._matrices = matrices
-        self._eigensystem = eigensystem
-        self._boundary_vectors = boundary_vectors
-        self._gammas = expansion_coefficients
+        self._rate = rate_matrix
+        self._boundary_vectors = levels[:-1]
         self._boundary_residual = boundary_residual
-        # Pre-computed eigen-quantities used by every metric.
-        self._z = eigensystem.eigenvalues
-        self._u = eigensystem.left_eigenvectors
-        self._u_sums = self._u.sum(axis=1)
+        self._rate_residual = rate_residual
+        # Row t is v_N R^t; rows are appended as levels are first asked for.
+        self._repeating_rows = [levels[-1]]
 
     # ------------------------------------------------------------------ #
     # Model metadata
@@ -107,23 +113,31 @@ class SpectralSolution(QueueSolution):
         return self._matrices.num_modes
 
     @property
+    def rate_matrix(self) -> np.ndarray:
+        """The rate matrix ``R``: ``v_{j+1} = v_j R`` for ``j >= N`` (copy)."""
+        return self._rate.copy()
+
+    @property
+    def rate_residual(self) -> float:
+        """``max|Q0 + R Q1 + R^2 Q2|``, the rate matrix's residual (diagnostic)."""
+        return self._rate_residual
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        return eigenvalues_inside_unit_disk(self._rate)
+
+    @property
     def eigenvalues(self) -> np.ndarray:
-        """The eigenvalues inside the unit disk, sorted by modulus (copy)."""
-        return self._z.copy()
+        """The eigenvalues inside the unit disk, sorted by modulus (copy).
 
-    @property
-    def expansion_coefficients(self) -> np.ndarray:
-        """The scaled expansion coefficients ``c_k = gamma_k z_k^N`` (copy).
-
-        With these coefficients the repeating-portion vectors are
-        ``v_j = sum_k c_k u_k z_k^(j - N)`` for ``j >= N``.
+        They are the eigenvalues of :attr:`rate_matrix`, computed on first use.
         """
-        return self._gammas.copy()
+        return self._eigenvalues.copy()
 
-    @property
+    @cached_property
     def decay_rate(self) -> float:
         """The dominant eigenvalue ``z_s``; the asymptotic queue-length decay rate."""
-        return self._eigensystem.dominant_eigenvalue
+        return decay_rate(self._model)
 
     @property
     def boundary_residual(self) -> float:
@@ -144,31 +158,44 @@ class SpectralSolution(QueueSolution):
     # Level probabilities
     # ------------------------------------------------------------------ #
 
+    def _repeating_row(self, offset: int) -> np.ndarray:
+        """``v_{N + offset} = v_N R^offset``; each level not yet reached costs one product."""
+        rows = self._repeating_rows
+        if len(rows) <= offset:
+            with _ROWS_LOCK:
+                while len(rows) <= offset:
+                    rows.append(rows[-1] @ self._rate)
+        return rows[offset]
+
     def level_vector(self, num_jobs: int) -> np.ndarray:
         """The probability vector ``v_j`` over modes for ``j = num_jobs`` jobs."""
         if num_jobs < 0:
             raise SolverError(f"the number of jobs must be non-negative, got {num_jobs}")
         if num_jobs < self.num_servers:
             return self._boundary_vectors[num_jobs].copy()
-        powers = self._z ** (num_jobs - self.num_servers)
-        vector = (self._gammas * powers) @ self._u
-        return _to_real(vector, context=f"level vector at j={num_jobs}")
+        return self._repeating_row(num_jobs - self.num_servers).copy()
 
     def queue_length_pmf(self, num_jobs: int) -> float:
         if num_jobs < 0:
             return 0.0
         if num_jobs < self.num_servers:
             return float(max(self._boundary_vectors[num_jobs].sum(), 0.0))
-        powers = self._z ** (num_jobs - self.num_servers)
-        value = np.sum(self._gammas * self._u_sums * powers)
-        return float(max(_scalar_to_real(value, context=f"pmf at j={num_jobs}"), 0.0))
+        return float(max(self._repeating_row(num_jobs - self.num_servers).sum(), 0.0))
+
+    @cached_property
+    def _tail_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """The LU factors of ``I - R``."""
+        return scipy.linalg.lu_factor(np.eye(self.num_modes) - self._rate)
+
+    @cached_property
+    def _tail_mass(self) -> np.ndarray:
+        """``tau = (I - R)^{-1} 1``: ``v_{N+t} tau`` is the mass at levels ``N + t`` and up."""
+        return scipy.linalg.lu_solve(self._tail_factor, np.ones(self.num_modes))
 
     @cached_property
     def _tail_mode_vector(self) -> np.ndarray:
-        """``sum_{j >= N} v_j`` as a vector over modes."""
-        z = self._z
-        weights = self._gammas / (1.0 - z)
-        return _to_real(weights @ self._u, context="tail mode vector")
+        """``sum_{j >= N} v_j = v_N (I - R)^{-1}`` as a vector over modes."""
+        return scipy.linalg.lu_solve(self._tail_factor, self._repeating_rows[0], trans=1)
 
     def mode_marginals(self) -> np.ndarray:
         total = self._boundary_vectors.sum(axis=0) + self._tail_mode_vector
@@ -185,10 +212,8 @@ class SpectralSolution(QueueSolution):
         boundary_part = sum(
             j * float(self._boundary_vectors[j].sum()) for j in range(self.num_servers)
         )
-        z = self._z
-        n = self.num_servers
-        tail_weights = self._gammas * self._u_sums * (n / (1.0 - z) + z / (1.0 - z) ** 2)
-        tail_part = _scalar_to_real(np.sum(tail_weights), context="mean queue length tail")
+        tail = self._tail_mode_vector
+        tail_part = (self.num_servers - 1) * float(tail.sum()) + float(tail @ self._tail_mass)
         return float(boundary_part + tail_part)
 
     @cached_property
@@ -233,16 +258,13 @@ class SpectralSolution(QueueSolution):
         return min(max(total, 0.0), 1.0)
 
     def queue_length_tail(self, num_jobs: int) -> float:
-        """``P(jobs > num_jobs)`` using the geometric tails of the expansion."""
+        """``P(jobs > num_jobs) = v_N R^(j + 1 - N) (I - R)^{-1} 1`` for ``j >= N - 1``."""
         if num_jobs < 0:
             return 1.0
         if num_jobs < self.num_servers - 1:
             return super().queue_length_tail(num_jobs)
-        z = self._z
-        start = num_jobs + 1
-        weights = self._gammas * self._u_sums * z ** (start - self.num_servers) / (1.0 - z)
-        value = _scalar_to_real(np.sum(weights), context=f"tail at j={num_jobs}")
-        return float(min(max(value, 0.0), 1.0))
+        row = self._repeating_row(num_jobs + 1 - self.num_servers)
+        return float(min(max(float(row @ self._tail_mass), 0.0), 1.0))
 
     # ------------------------------------------------------------------ #
     # Diagnostics
@@ -254,10 +276,6 @@ class SpectralSolution(QueueSolution):
         tail = float(self._tail_mode_vector.sum())
         return abs(boundary + tail - 1.0)
 
-    def eigen_residual(self) -> float:
-        """The largest residual among the computed eigenpairs."""
-        return self._eigensystem.max_residual()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SpectralSolution(N={self.num_servers}, s={self.num_modes}, "
@@ -265,63 +283,37 @@ class SpectralSolution(QueueSolution):
         )
 
 
-def _to_real(vector: np.ndarray, *, context: str) -> np.ndarray:
-    """Drop a numerically negligible imaginary part, raising if it is not negligible."""
-    magnitude = float(np.max(np.abs(vector))) if vector.size else 0.0
-    imaginary = float(np.max(np.abs(vector.imag))) if np.iscomplexobj(vector) else 0.0
-    if imaginary > _IMAGINARY_TOLERANCE * max(1.0, magnitude):
-        raise SolverError(
-            f"{context}: imaginary residue {imaginary:.3g} exceeds tolerance; "
-            "the spectral solution is numerically unreliable"
-        )
-    return np.asarray(vector.real if np.iscomplexobj(vector) else vector, dtype=float)
-
-
-def _scalar_to_real(value: complex, *, context: str) -> float:
-    """Scalar version of :func:`_to_real`."""
-    if abs(value.imag) > _IMAGINARY_TOLERANCE * max(1.0, abs(value)):
-        raise SolverError(
-            f"{context}: imaginary residue {abs(value.imag):.3g} exceeds tolerance; "
-            "the spectral solution is numerically unreliable"
-        )
-    return float(value.real)
-
-
 def _solve_boundary_system(
-    matrices: ModulatedQueueMatrices, eigensystem: SpectralEigensystem
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve the boundary equations for ``v_0 .. v_{N-1}`` and ``c`` by level reduction.
+    matrices: ModulatedQueueMatrices, rate: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Solve the boundary equations for ``v_0 .. v_N`` by level reduction.
 
-    The unknowns are the boundary vectors and the scaled expansion
-    coefficients ``c_k = gamma_k z_k^N``.  The equations are the balance
-    equations (paper Eq. 14) at levels ``j = 0 .. N``,
+    The equations are the balance equations (paper Eq. 14) at levels
+    ``j = 0 .. N``,
 
         ``v_{j-1} B + v_j L_j + v_{j+1} C_{j+1} = 0``,  ``L_j = A - D^A - B - C_j``,
 
-    with ``v_N = c U`` and ``v_{N+1} = c Z U`` from the expansion, plus the
-    normalisation condition (Eq. 20).  They are block-tridiagonal in the
-    level with real ``s x s`` blocks, so the linear level reduction of Gaver,
-    Jacobs & Latouche (Adv. Appl. Prob. 16, 1984) eliminates the levels
-    upward: with ``S_0 = L_0``, ``W_j = C_j (-S_{j-1})^{-1}`` and
-    ``S_j = L_j + lambda W_j``, level ``j - 1`` reads ``v_{j-1} = v_j W_j``.
-    Each ``-S_j`` is a strictly diagonally dominant M-matrix
-    (``S_j 1 = -lambda 1``, non-negative off-diagonal entries), so every
-    inverse exists and every ``W_j`` is non-negative.  Level ``N`` leaves
-    ``c (U S_N + Z U C) = 0``, an ``s x s`` complex system of rank ``s - 1``:
-    its first equation is replaced by the normalisation, and if that square
-    system is singular the bordered ``(s + 1) x s`` system is solved by least
-    squares instead.
+    with ``v_{N+1} = v_N R``, plus the normalisation condition (Eq. 20).  They
+    are block-tridiagonal in the level with real ``s x s`` blocks, so the
+    linear level reduction of Gaver, Jacobs & Latouche (Adv. Appl. Prob. 16,
+    1984) eliminates the levels upward: with ``S_0 = L_0``,
+    ``W_j = C_j (-S_{j-1})^{-1}`` and ``S_j = L_j + lambda W_j``, level
+    ``j - 1`` reads ``v_{j-1} = v_j W_j``.  Each ``-S_j`` is a strictly
+    diagonally dominant M-matrix (``S_j 1 = -lambda 1``, non-negative
+    off-diagonal entries), so every inverse exists and every ``W_j`` is
+    non-negative.  Level ``N`` leaves ``v_N (S_N + R C) = 0``, an ``s x s``
+    system of rank ``s - 1``, normalised by
+    ``v_N (W_N h + (I - R)^{-1} 1) = 1``: its first equation is replaced by
+    the normalisation, and if that square system is singular the bordered
+    ``(s + 1) x s`` system is solved by least squares instead.
 
-    Returns the complex boundary vectors as an ``(N, s)`` array, the
-    coefficients ``c`` and the 2-norm of the residual of the full system —
-    every balance equation, the replaced one included, and the
-    normalisation — so a bad solve cannot go unnoticed.
+    Returns ``v_0 .. v_N`` as an ``(N + 1, s)`` array and the 2-norm of the
+    residual of the full system — every balance equation, the replaced one
+    included, and the normalisation — so a bad solve cannot go unnoticed.
     """
     num_servers = matrices.num_servers
     num_modes = matrices.num_modes
     arrival_rate = matrices.arrival_rate
-    eigenvalues = eigensystem.eigenvalues
-    left_vectors = eigensystem.left_eigenvectors
     # Row j holds the diagonal of C_j for j = 0 .. N + 1 (C_{N+1} = C_N = C).
     service = np.array([matrices.service_rates(level) for level in range(num_servers + 2)])
     # L_0 = A - D^A - B, and L_j = L_0 - C_j.
@@ -339,37 +331,39 @@ def _solve_boundary_system(
     mass = np.ones(num_modes)
     for reducer in reducers[:-1]:
         mass = 1.0 + reducer @ mass
-    tail_mass = left_vectors.sum(axis=1) / (1.0 - eigenvalues)
-    normalisation = left_vectors @ (reducers[-1] @ mass) + tail_mass
-    balance = left_vectors @ schur + (eigenvalues[:, np.newaxis] * left_vectors) * service[-1]
+    tail_mass = scipy.linalg.lu_solve(
+        scipy.linalg.lu_factor(np.eye(num_modes) - rate), np.ones(num_modes)
+    )
+    normalisation = reducers[-1] @ mass + tail_mass
+    balance = schur + rate * service[-1]
 
     square = balance.copy()
     square[:, 0] = normalisation
-    rhs = np.zeros(num_modes, dtype=complex)
+    rhs = np.zeros(num_modes)
     rhs[0] = 1.0
     try:
-        coefficients = np.linalg.solve(square.T, rhs)
-        solved = bool(np.all(np.isfinite(coefficients)))
+        top = np.linalg.solve(square.T, rhs)
+        solved = bool(np.all(np.isfinite(top)))
     except np.linalg.LinAlgError:
         solved = False
     if not solved:
         bordered = np.vstack([balance.T, normalisation])
-        bordered_rhs = np.zeros(num_modes + 1, dtype=complex)
+        bordered_rhs = np.zeros(num_modes + 1)
         bordered_rhs[-1] = 1.0
-        coefficients = np.linalg.lstsq(bordered, bordered_rhs, rcond=None)[0]
+        top = np.linalg.lstsq(bordered, bordered_rhs, rcond=None)[0]
 
     # levels[j] = v_j for j = 0 .. N + 1.
-    levels = np.empty((num_servers + 2, num_modes), dtype=complex)
-    levels[num_servers] = coefficients @ left_vectors
-    levels[num_servers + 1] = (coefficients * eigenvalues) @ left_vectors
+    levels = np.empty((num_servers + 2, num_modes))
+    levels[num_servers] = top
+    levels[num_servers + 1] = top @ rate
     for level in range(num_servers, 0, -1):
         levels[level - 1] = levels[level] @ reducers[level - 1]
 
     flows = levels[:-1] @ local - levels[:-1] * service[:-1] + levels[1:] * service[1:]
     flows[1:] += arrival_rate * levels[:-2]
-    mass_error = levels[:num_servers].sum() + coefficients @ tail_mass - 1.0
+    mass_error = levels[:num_servers].sum() + top @ tail_mass - 1.0
     residual = float(np.hypot(np.linalg.norm(flows), abs(mass_error)))
-    return levels[:num_servers], coefficients, residual
+    return levels[:-1], residual
 
 
 @single_threaded_blas()
@@ -383,9 +377,9 @@ def solve_spectral(model: UnreliableQueueModel) -> SpectralSolution:
     ParameterError
         If the period distributions are not exponential/hyperexponential.
     SolverError
-        If the eigenvalue count or the boundary system indicate numerical
-        failure (the paper notes such problems appear for ``N`` greater than
-        roughly 24 with the fitted parameters).
+        If the logarithmic reduction does not converge, or the rate matrix's
+        residual, the boundary system's residual or a negative probability
+        indicates numerical failure.
     """
     model.require_stable()
     environment = model.environment  # validates the period distributions
@@ -394,12 +388,29 @@ def solve_spectral(model: UnreliableQueueModel) -> SpectralSolution:
         arrival_rate=model.arrival_rate,
         service_rate=model.service_rate,
     )
-    eigensystem = eigenvalues_inside_unit_disk(
-        matrices.q0, matrices.q1, matrices.q2, expected_count=matrices.num_modes
-    )
+    q0, q1, q2 = matrices.q0, matrices.q1, matrices.q2
+    rate, steps = rate_matrix(q0, q1, q2)
+    rate_residual = float(np.max(np.abs(q0 + rate @ (q1 + rate @ q2))))
+    registry = numerics_registry()
+    registry.histogram(
+        "repro_spectral_reduction_steps",
+        "Logarithmic-reduction steps the spectral rate matrix R needed, per solve.",
+        buckets=SWEEP_COUNT_BUCKETS,
+    ).observe(steps)
+    registry.histogram(
+        "repro_spectral_rate_residual",
+        "Residual max|Q0 + R Q1 + R^2 Q2| of the spectral rate matrix, per solve.",
+        buckets=RESIDUAL_BUCKETS,
+    ).observe(rate_residual)
+    if rate_residual > _RATE_RESIDUAL_TOLERANCE:
+        raise SolverError(
+            f"rate matrix residual {rate_residual:.3g} exceeds tolerance; "
+            "the model is too ill-conditioned for the exact solution "
+            "(consider the geometric approximation)"
+        )
 
-    boundary, gammas, residual_norm = _solve_boundary_system(matrices, eigensystem)
-    numerics_registry().histogram(
+    levels, residual_norm = _solve_boundary_system(matrices, rate)
+    registry.histogram(
         "repro_spectral_boundary_residual",
         "Residual 2-norm of the spectral boundary equations, per solve.",
         buckets=RESIDUAL_BUCKETS,
@@ -411,19 +422,17 @@ def solve_spectral(model: UnreliableQueueModel) -> SpectralSolution:
             "(consider the geometric approximation)"
         )
 
-    boundary_real = _to_real(boundary, context="boundary probability vectors")
-    if float(np.min(boundary_real)) < -_NEGATIVITY_TOLERANCE:
+    if float(np.min(levels)) < -_NEGATIVITY_TOLERANCE:
         raise SolverError(
             "boundary probabilities have significantly negative entries "
-            f"(min {float(np.min(boundary_real)):.3g}); the solution is unreliable"
+            f"(min {float(np.min(levels)):.3g}); the solution is unreliable"
         )
-    boundary_real = np.clip(boundary_real, 0.0, None)
 
     return SpectralSolution(
         model=model,
         matrices=matrices,
-        eigensystem=eigensystem,
-        boundary_vectors=boundary_real,
-        expansion_coefficients=gammas,
+        rate_matrix=rate,
+        levels=np.clip(levels, 0.0, None),
         boundary_residual=residual_norm,
+        rate_residual=rate_residual,
     )

@@ -67,21 +67,21 @@ def test_solve_spectral_runs_on_one_thread_and_restores_the_ambient_count(
 def test_nested_entry_keeps_one_thread_and_restores_once(libraries, monkeypatch):
     seen: list[list[int]] = []
     restores: list[None] = []
-    abscissa = approximation.spectral_abscissa
+    perron_pair = approximation._server_perron_pair
     restore = blas._restore
 
-    def spy_abscissa(matrix):
+    def spy_perron_pair(model):
         seen.append(_threads(libraries))
-        return abscissa(matrix)
+        return perron_pair(model)
 
     def counting_restore():
         restores.append(None)
         restore()
 
-    monkeypatch.setattr(approximation, "spectral_abscissa", spy_abscissa)
+    monkeypatch.setattr(approximation, "_server_perron_pair", spy_perron_pair)
     monkeypatch.setattr(blas, "_restore", counting_restore)
-    # solve_geometric enters the scope, then calls decay_rate_bisection,
-    # which enters it again.
+    # solve_geometric enters the scope, then finds the server's Perron root
+    # through rate_matrix, which enters it again.
     solve_geometric(sun_fitted_model(5, 3.5))
     assert seen and all(threads == [1] * len(libraries) for threads in seen)
     assert len(restores) == 1

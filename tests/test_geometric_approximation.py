@@ -4,17 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from eigen_expansion import (
+    decay_rate_bisection,
+    decay_rate_from_eigensystem,
+    geometric_mode_vector,
+    polynomial_matrices,
+)
 
 from repro.distributions import Exponential, HyperExponential
 from repro.exceptions import SolverError, UnstableQueueError
 from repro.queueing import UnreliableQueueModel
-from repro.spectral import (
-    ModulatedQueueMatrices,
-    decay_rate_bisection,
-    decay_rate_from_eigensystem,
-    solve_geometric,
-    solve_spectral,
-)
+from repro.spectral import decay_rate, solve_geometric, solve_spectral
 
 
 def _model(arrival_rate: float, num_servers: int = 3) -> UnreliableQueueModel:
@@ -28,12 +28,14 @@ def _model(arrival_rate: float, num_servers: int = 3) -> UnreliableQueueModel:
 
 
 class TestDecayRate:
+    """``decay_rate`` finds ``z_s`` on one server; the oracle's two searches use all ``s`` modes."""
+
     def test_bisection_matches_full_eigensystem(self):
         model = _model(2.0)
-        matrices = ModulatedQueueMatrices(model.environment, model.arrival_rate, 1.0)
-        assert decay_rate_bisection(matrices) == pytest.approx(
-            decay_rate_from_eigensystem(matrices), abs=1e-8
-        )
+        matrices = polynomial_matrices(model)
+        bisected = decay_rate_bisection(matrices)
+        assert decay_rate(model) == pytest.approx(bisected, abs=1e-9)
+        assert bisected == pytest.approx(decay_rate_from_eigensystem(matrices), abs=1e-8)
 
     def test_decay_rate_matches_exact_solution(self):
         model = _model(2.2)
@@ -50,15 +52,15 @@ class TestDecayRate:
         with pytest.raises((UnstableQueueError, SolverError)):
             solve_geometric(_model(10.0))
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(SolverError):
-            solve_geometric(_model(1.0), method="magic")
-
     def test_eigensystem_method_agrees(self):
         model = _model(2.0)
-        bisected = solve_geometric(model, method="bisection")
-        eigen = solve_geometric(model, method="eigensystem")
-        assert bisected.decay_rate == pytest.approx(eigen.decay_rate, abs=1e-8)
+        matrices = polynomial_matrices(model)
+        solution = solve_geometric(model)
+        decay = decay_rate_from_eigensystem(matrices)
+        assert solution.decay_rate == pytest.approx(decay, abs=1e-8)
+        np.testing.assert_allclose(
+            solution.mode_marginals(), geometric_mode_vector(matrices, decay), atol=1e-8
+        )
 
 
 class TestGeometricLaw:

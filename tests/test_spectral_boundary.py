@@ -1,32 +1,35 @@
-"""The boundary stage of the spectral solver: level reduction against the dense oracle.
+"""The structured spectral solver against its oracles: ``R`` and level reduction.
 
-``solve_spectral`` finds the boundary vectors and expansion coefficients by
-eliminating the levels one ``s x s`` block at a time.  These tests pin that
-solution against the dense ``(N + 1) s`` system of ``dense_boundary.py`` over
-the paper's models, gate the solve's memory so the dense system cannot come
-back unnoticed, and exercise the residual check end to end: the error, the
-facade's fallback and the metrics it leaves behind.
+``solve_spectral`` computes the rate matrix ``R`` by logarithmic reduction
+and finds the boundary vectors by eliminating the levels one ``s x s`` block
+at a time.  These tests pin that solution against the eigen path of
+``eigen_expansion.py`` — the expansion ``sum_k c_k u_k z_k^t`` with the dense
+``(N + 1) s`` system of ``dense_boundary.py`` — over the paper's models, gate
+the solve's memory so the dense system cannot come back unnoticed, and
+exercise the residual checks end to end: the error, the facade's fallback
+and the metrics they leave behind.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from dense_boundary import dense_residual, solve_dense_boundary
+from dense_boundary import dense_residual, rate_tail
+from eigen_expansion import decay_rate_bisection, polynomial_matrices, solve_expansion
 
 from repro.blas import single_threaded_blas
 from repro.exceptions import SolverError
 from repro.experiments import figure5, figure8, parameters
 from repro.obs import numerics_registry
-from repro.obs.metrics import RESIDUAL_BUCKETS, Histogram
+from repro.obs.metrics import RESIDUAL_BUCKETS, SWEEP_COUNT_BUCKETS, Histogram
 from repro.queueing import UnreliableQueueModel, sun_fitted_model
 from repro.solvers import solve
-from repro.spectral import solve_spectral
+from repro.spectral import rate_matrix, solve_spectral
 from repro.spectral import solution as spectral_solution
-from repro.spectral.eigen import SpectralEigensystem, eigenvalues_inside_unit_disk
-from repro.spectral.qbd import ModulatedQueueMatrices
 
 
 def _fitted_repairs(num_servers: int, load: float) -> UnreliableQueueModel:
@@ -61,41 +64,42 @@ def _relative_gap(actual: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(actual - expected)) / np.max(np.abs(expected)))
 
 
-def _tail_mode_vector(eigensystem: SpectralEigensystem, gammas: np.ndarray) -> np.ndarray:
-    """``sum_{j >= N} v_j`` over modes, from the scaled expansion coefficients."""
-    return (gammas / (1.0 - eigensystem.eigenvalues)) @ eigensystem.left_eigenvectors
-
-
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_level_reduction_matches_the_dense_system(name):
     model = MODELS[name]
     solution = solve_spectral(model)
-    matrices = ModulatedQueueMatrices(model.environment, model.arrival_rate, model.service_rate)
+    rate = solution.rate_matrix
+    top = solution.level_vector(model.num_servers)
     with single_threaded_blas():
-        eigensystem = eigenvalues_inside_unit_disk(
-            matrices.q0, matrices.q1, matrices.q2, expected_count=matrices.num_modes
-        )
-        boundary, coefficients, residual = solve_dense_boundary(matrices, eigensystem)
+        oracle = solve_expansion(model)
+        matrices = polynomial_matrices(model)
         structured_residual = dense_residual(
-            matrices, eigensystem, solution.boundary_vectors, solution.expansion_coefficients
+            matrices, rate_tail(rate), solution.boundary_vectors, top
         )
-    dense = spectral_solution.SpectralSolution(
-        model=model,
-        matrices=matrices,
-        eigensystem=eigensystem,
-        boundary_vectors=np.clip(boundary.real, 0.0, None),
-        expansion_coefficients=coefficients,
-        boundary_residual=residual,
-    )
+        bisected = decay_rate_bisection(matrices)
+    tail = top @ np.linalg.inv(np.eye(matrices.num_modes) - rate)
 
-    assert _relative_gap(solution.boundary_vectors, dense.boundary_vectors) <= 1e-10
-    # The raw coefficients of tiny eigenvalues may differ without moving any
-    # probability, so they are compared only through the tail they weigh.
-    tail = _tail_mode_vector(eigensystem, solution.expansion_coefficients)
-    assert _relative_gap(tail, _tail_mode_vector(eigensystem, coefficients)) <= 1e-10
-    assert solution.mean_queue_length == pytest.approx(dense.mean_queue_length, rel=1e-10)
+    assert _relative_gap(solution.boundary_vectors, oracle.boundary_vectors) <= 1e-10
+    assert _relative_gap(tail, oracle.tail_mode_vector) <= 1e-10
+    assert solution.mean_queue_length == pytest.approx(oracle.mean_queue_length, rel=1e-10)
     assert abs(structured_residual - solution.boundary_residual) <= 1e-13
     assert solution.boundary_residual <= 1e-10
+    # The eigenvalues of R are the z_k; the largest is z_s, found on one server.
+    assert solution.decay_rate == pytest.approx(bisected, abs=1e-9)
+    assert np.max(np.abs(solution.eigenvalues)) == pytest.approx(solution.decay_rate, abs=1e-10)
+
+
+def test_per_level_accessors_match_the_expansion():
+    """Figure 8 at load 0.99: a mean of about 105 jobs, so the walks go deep."""
+    model = figure8.model_for_load(0.99)
+    solution = solve_spectral(model)
+    oracle = solve_expansion(model)
+    assert solution.queue_length_quantile(0.99) == oracle.queue_length_quantile(0.99)
+    for level in (model.num_servers - 1, model.num_servers, 200):
+        assert solution.queue_length_tail(level) == pytest.approx(
+            oracle.queue_length_tail(level), rel=1e-9
+        )
+        assert _relative_gap(solution.level_vector(level), oracle.level_vector(level)) <= 1e-9
 
 
 def test_singular_square_system_falls_back_to_least_squares(monkeypatch):
@@ -125,6 +129,39 @@ def test_boundary_stage_memory_stays_linear_in_the_levels():
     assert peak < 16 * 2**20
 
 
+def test_threads_walking_one_solution_see_the_same_levels():
+    """Threads walking one solution grow its cache of ``v_N R^t``; every level stays exact."""
+    model = figure8.model_for_load(0.99)
+    expected = solve_spectral(model)
+    reference = [expected.level_vector(level) for level in range(300)]
+    shared = solve_spectral(model)
+    errors: list[BaseException] = []
+    barrier = threading.Barrier(8)
+
+    def walk(start: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            for level in range(start, 300, 7):
+                np.testing.assert_array_equal(shared.level_vector(level), reference[level])
+        except BaseException as error:  # reported by the main thread
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(start,)) for start in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for level in range(300):
+        np.testing.assert_array_equal(shared.level_vector(level), reference[level])
+
+
 def _attempts(outcome: str) -> float:
     return numerics_registry().counter(
         "repro_solver_attempts_total",
@@ -132,10 +169,12 @@ def _attempts(outcome: str) -> float:
     ).value
 
 
+def _histogram(name: str, buckets: tuple[float, ...] = RESIDUAL_BUCKETS) -> Histogram:
+    return numerics_registry().histogram(name, buckets=buckets).snapshot()
+
+
 def _residual_histogram() -> Histogram:
-    registry = numerics_registry()
-    histogram = registry.histogram("repro_spectral_boundary_residual", buckets=RESIDUAL_BUCKETS)
-    return histogram.snapshot()
+    return _histogram("repro_spectral_boundary_residual")
 
 
 def test_residual_over_tolerance_fails_over_to_the_next_solver(monkeypatch):
@@ -157,3 +196,42 @@ def test_every_solve_records_its_boundary_residual():
     after = _residual_histogram()
     assert after.count == before.count + 1
     assert after.total - before.total == pytest.approx(solution.boundary_residual, abs=1e-18)
+
+
+def test_reduction_stalls_on_an_unstable_chain():
+    """On an unstable queue ``G`` is substochastic, so ``1 - G 1`` stops falling short of 0."""
+    model = sun_fitted_model(2, 1.0)
+    matrices = polynomial_matrices(model.with_arrival_rate(2.0 * model.mean_operative_servers))
+    with pytest.raises(SolverError, match="logarithmic reduction stalled"):
+        rate_matrix(matrices.q0, matrices.q1, matrices.q2)
+
+
+def test_rate_residual_over_tolerance_fails_over_to_the_next_solver(monkeypatch):
+    model = sun_fitted_model(5, 3.5)
+    monkeypatch.setattr(spectral_solution, "_RATE_RESIDUAL_TOLERANCE", 0.0)
+    with pytest.raises(SolverError, match="rate matrix residual .* exceeds tolerance"):
+        solve_spectral(model)
+
+    failed = _attempts("failed")
+    outcome = solve(model, ("spectral", "geometric"), cache=False)
+    assert outcome.solver == "geometric"
+    assert "mean_queue_length" in outcome.metrics
+    assert _attempts("failed") == failed + 1
+
+
+def test_every_solve_records_its_rate_residual_and_reduction_steps():
+    model = sun_fitted_model(5, 3.5)
+    residual_before = _histogram("repro_spectral_rate_residual")
+    steps_before = _histogram("repro_spectral_reduction_steps", SWEEP_COUNT_BUCKETS)
+    solution = solve_spectral(model)
+    residual_after = _histogram("repro_spectral_rate_residual")
+    steps_after = _histogram("repro_spectral_reduction_steps", SWEEP_COUNT_BUCKETS)
+    matrices = polynomial_matrices(model)
+    _, steps = rate_matrix(matrices.q0, matrices.q1, matrices.q2)
+
+    assert residual_after.count == residual_before.count + 1
+    assert residual_after.total - residual_before.total == pytest.approx(
+        solution.rate_residual, abs=1e-18
+    )
+    assert steps_after.count == steps_before.count + 1
+    assert steps_after.total - steps_before.total == steps

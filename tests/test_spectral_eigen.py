@@ -1,21 +1,26 @@
-"""Unit tests for the quadratic eigenvalue machinery (paper Eq. 15–18)."""
+"""Unit tests for the quadratic eigenvalue machinery (paper Eq. 15–18).
+
+The eigen path is the test oracle in ``eigen_expansion.py``: the solver
+computes the rate matrix ``R`` instead, and ``test_spectral_boundary.py``
+pins it against this path.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from eigen_expansion import (
+    eigenvalues_inside_unit_disk,
+    perron_left_null_vector,
+    refine_eigenpair,
+    solve_quadratic_eigenproblem,
+    spectral_abscissa,
+)
 
 from repro.distributions import Exponential, HyperExponential
 from repro.exceptions import SolverError
 from repro.markov import ScenarioEnvironment
-from repro.spectral import (
-    ModulatedQueueMatrices,
-    eigenvalues_inside_unit_disk,
-    perron_left_null_vector,
-    solve_quadratic_eigenproblem,
-    spectral_abscissa,
-)
-from repro.spectral.eigen import refine_eigenpair
+from repro.spectral import ModulatedQueueMatrices
 
 
 def _matrices(num_servers=2, arrival_rate=1.0) -> ModulatedQueueMatrices:

@@ -3,8 +3,14 @@
 The paper's Section-4 experiments are all parameter sweeps; this example
 shows how to run your own with :mod:`repro.sweeps`: a grid over the number of
 servers and the arrival rate, solved exactly with automatic fallback to the
-geometric approximation, fanned out over worker processes, and exported to
-CSV for plotting.
+geometric approximation, and exported to CSV for plotting.
+
+``SweepRunner(parallel=True)`` lets a grid fan out over worker processes
+when its estimated work pays for the pool.  This 16-point grid is about
+7.4e7 units of ``N·s³`` work, under the break-even
+(:data:`repro.solvers.facade.POOL_BREAK_EVEN_WORK`, 2.5e8, about two
+``N = 20`` solves), so it runs serially in-process with the same numbers.
+Larger grids, and every CTMC or simulation grid, fan out.
 
 Run with::
 

@@ -261,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--skip-section2", action="store_true", help="skip the Section-2 trace analysis"
     )
     reproduce.add_argument(
-        "--parallel", action="store_true", help="evaluate figure grids across worker processes"
+        "--parallel",
+        action="store_true",
+        help="let figure grids fan out over worker processes when their estimated work "
+        "pays for the pool",
     )
     reproduce.add_argument(
         "--jobs", type=int, default=None, help="worker-process count (default: CPU count)"
@@ -300,7 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(any repro.solvers registry name: spectral, geometric, ctmc, simulate, ...)",
     )
     sweep.add_argument(
-        "--parallel", action="store_true", help="evaluate grid points across worker processes"
+        "--parallel",
+        action="store_true",
+        help="let grid points fan out over worker processes when the grid's estimated "
+        "work pays for the pool",
     )
     sweep.add_argument(
         "--jobs", type=int, default=None, help="worker-process count (default: CPU count)"

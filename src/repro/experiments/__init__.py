@@ -3,8 +3,9 @@
 Every Section-4 figure driver declares its grid as a
 :class:`repro.sweeps.SweepSpec` (see each module's ``sweep_spec`` function)
 and evaluates it through a shared :class:`repro.sweeps.SweepRunner`, so the
-whole suite can run serially or across worker processes
-(``run_all_experiments(parallel=True)``) with identical numbers.
+whole suite can run serially or let each grid whose estimated work pays for
+a process pool fan out over worker processes
+(``run_all_experiments(parallel=True)``), with identical numbers.
 
 Public API
 ----------

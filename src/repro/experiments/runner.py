@@ -9,8 +9,10 @@ and the Section-4 numerical experiments (Figures 5–9).  It is used by the
 Every figure evaluates its grid through one shared
 :class:`~repro.sweeps.SweepRunner` — and therefore one shared
 :class:`~repro.solvers.SolutionCache` — so configurations repeated across
-figures are solved once, and ``parallel=True`` fans all the grids out over
-worker processes (the cache deduplicates repeated points before fan-out).
+figures are solved once, and ``parallel=True`` lets each grid fan out over
+worker processes when its estimated work pays for the pool (the cache
+deduplicates repeated points before fan-out).  The quick grids stay
+serial.
 """
 
 from __future__ import annotations
@@ -83,8 +85,9 @@ def run_all_experiments(
         a couple of minutes (used by smoke tests); the full grids reproduce
         the paper's figures point for point.
     parallel:
-        Evaluate the figure grids across worker processes (same numbers,
-        less wall-clock time).
+        Let each figure grid fan out over worker processes when its
+        estimated work pays for the pool (same numbers either way); smaller
+        grids, such as every quick-mode one, run serially.
     max_workers:
         Worker-process count for the parallel path (defaults to CPU count).
     """

@@ -84,6 +84,12 @@ class SpectralSolver(_HomogeneousOnlySolver):
         self._reject_scenarios(model)
         return model.solve_spectral(**options)
 
+    def work_estimate(self, model: "UnreliableQueueModel") -> float | None:
+        # The level reduction is O(N s^3), the reduction for R O(steps s^3).
+        if not self.supports(model):
+            return None
+        return float(model.num_servers * model.num_modes**3)
+
     def metrics(self, solution: Any) -> dict[str, float]:
         return {
             "mean_queue_length": solution.mean_queue_length,
@@ -100,6 +106,10 @@ class GeometricSolver(_HomogeneousOnlySolver):
     def solve(self, model: "UnreliableQueueModel", **options: Any) -> object:
         self._reject_scenarios(model)
         return model.solve_geometric(**options)
+
+    def work_estimate(self, model: "UnreliableQueueModel") -> float | None:
+        # One server's (n + m)-phase chain whatever N: negligible.
+        return 0.0 if self.supports(model) else None
 
     def metrics(self, solution: Any) -> dict[str, float]:
         return {

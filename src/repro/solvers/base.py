@@ -14,7 +14,9 @@ one such backend behind a uniform surface:
   object (a :class:`~repro.queueing.solution_base.QueueSolution` subclass, or
   the simulator's estimate record);
 * :meth:`Solver.metrics` — normalise a native solution into the flat metric
-  mapping the sweep engine, the cost optimiser and the CLI consume.
+  mapping the sweep engine, the cost optimiser and the CLI consume;
+* :meth:`Solver.work_estimate` — an optional cost hint that decides whether
+  a ``parallel=True`` batch is worth a process pool.
 
 Third parties subclass :class:`Solver` and register instances with
 :func:`repro.solvers.register_solver`; registered names participate in
@@ -134,6 +136,19 @@ class Solver(abc.ABC):
     @abc.abstractmethod
     def metrics(self, solution: object) -> dict[str, float]:
         """Normalise a native solution into the flat metric mapping."""
+
+    def work_estimate(self, model: "UnreliableQueueModel") -> float | None:
+        """The estimated cost of solving ``model``, or ``None`` when unknown.
+
+        The unit is the spectral solver's ``N·s³`` (servers times modes
+        cubed).  With ``parallel=True``,
+        :func:`~repro.solvers.facade.solve_many` sums the estimates of each
+        task's first solver and fans the batch out over worker processes
+        only when the sum reaches
+        :data:`~repro.solvers.facade.POOL_BREAK_EVEN_WORK`; one unknown
+        estimate (the default) always fans out.
+        """
+        return None
 
     def options_from_policy(self, policy: "SolverPolicy") -> dict[str, object]:
         """Extract this solver's keyword options from a policy.

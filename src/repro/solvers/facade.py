@@ -12,6 +12,14 @@ Parallel fan-out is parent-owned: pending work is deduplicated by cache key
 ``(model, policy)`` functions and return picklable outcomes, and the parent
 merges the results back into the cache.  Repeated grid points are therefore
 never solved twice, serial or parallel.
+
+``parallel=True`` is a permission, not an order: a batch fans out only when
+its estimated work (each first-choice solver's
+:meth:`~repro.solvers.base.Solver.work_estimate`) reaches
+:data:`POOL_BREAK_EVEN_WORK`, or when any task's cost is unknown.  Smaller
+batches run the serial warm-start walk in-process, with the same outcomes:
+below that work, creating and feeding a process pool costs more than it
+saves.
 """
 
 from __future__ import annotations
@@ -389,6 +397,39 @@ def _neighbourhood_chunks(
     return chunks
 
 
+#: Estimated work, in the spectral solver's ``N·s³`` units (see
+#: :meth:`~repro.solvers.base.Solver.work_estimate`), from which a
+#: ``parallel=True`` batch pays for a process pool.  Below it the batch runs
+#: serially in-process.  Set at the measured break-even of serial against
+#: pooled spectral grids on a 2-vCPU host (README "Performance").
+POOL_BREAK_EVEN_WORK = 2.5e8
+
+
+def _pool_pays(
+    tasks: list[tuple[int, "UnreliableQueueModel", SolverPolicy]],
+    registry: SolverRegistry | None,
+) -> bool:
+    """Whether a batch's estimated work reaches :data:`POOL_BREAK_EVEN_WORK`.
+
+    Each task is estimated by the first solver of its policy; unstable models
+    cost nothing, since :func:`_evaluate_capturing` answers them without a
+    solve.  One task of unknown cost sends the whole batch to the pool.
+    """
+    registry = registry if registry is not None else default_registry()
+    work = 0.0
+    for _, model, policy in tasks:
+        if not model.is_stable:
+            continue
+        try:
+            estimate = registry.get(policy.order[0]).work_estimate(model)
+        except ParameterError:  # a name this registry does not know
+            return True
+        if estimate is None:
+            return True
+        work += estimate
+    return work >= POOL_BREAK_EVEN_WORK
+
+
 def _pool_probe() -> bool:
     """Trivial task used to check that worker processes can start at all."""
     return True
@@ -470,8 +511,13 @@ def solve_many(
         :func:`~repro.solvers.policy.as_policy` accepts), or a sequence of
         :class:`SolverPolicy` instances, one per model.
     parallel:
-        Fan the batch out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
-        Results are identical to the serial path; only wall-clock changes.
+        Let the batch fan out over a
+        :class:`~concurrent.futures.ProcessPoolExecutor` when its estimated
+        work pays for the pool: at least :data:`POOL_BREAK_EVEN_WORK`, or of
+        unknown cost.  A smaller batch runs serially in-process.  Results
+        are identical on both paths; only wall-clock changes.  Each such
+        batch of two or more pending models counts in
+        ``repro_parallel_batches_total{path="serial"|"pool"}``.
     max_workers:
         Worker-process count (defaults to the usable CPU count).
     cache:
@@ -479,14 +525,15 @@ def solve_many(
         key are solved **once** per batch — duplicates are resolved from the
         in-flight result, serial or parallel.
     registry:
-        An alternative registry for the serial path.  Worker processes always
-        dispatch through their own process-global registry, so parallel
-        batches require solvers registered at import time.
+        An alternative registry for the serial path and the work estimate.
+        Worker processes always dispatch through their own process-global
+        registry, so pooled batches require solvers registered at import
+        time.
     profile:
         A mapping the serial path fills with per-backend
         :class:`~repro.obs.profiling.AttemptRecord` lists, keyed by batch
         index.  Only *freshly solved* models appear (cache hits and coalesced
-        duplicates made no attempts), and the parallel path skips it —
+        duplicates made no attempts), and the pool path skips it —
         attempts made in worker processes do not travel back.
     """
     models = list(models)
@@ -524,7 +571,15 @@ def solve_many(
             unique = pending
 
         tasks = [(index, models[index], policies[index]) for index in unique]
-        if parallel and len(tasks) > 1 and max_workers > 1:
+        pooled = False
+        if parallel and len(tasks) > 1:
+            pooled = max_workers > 1 and _pool_pays(tasks, registry)
+            numerics_registry().counter(
+                "repro_parallel_batches_total",
+                "parallel=True batches of two or more pending models, by the path taken.",
+                labels={"path": "pool" if pooled else "serial"},
+            ).inc()
+        if pooled:
             solved = _execute_parallel(tasks, max_workers, registry)
         else:
             solved = _execute_serial(tasks, registry, profile)
@@ -564,7 +619,9 @@ async def solve_many_async(
     consumed from another thread — and dispatches the otherwise-identical
     :func:`solve_many` call onto ``executor`` (the loop's default thread pool
     when ``None``).  The :class:`SolutionCache` is thread-safe, so cached and
-    coalesced lookups behave exactly as in the synchronous path.
+    coalesced lookups behave exactly as in the synchronous path, and
+    ``parallel=True`` fans out only when the batch's estimated work pays for
+    a process pool, as there.
     """
     call = functools.partial(
         solve_many,

@@ -78,6 +78,7 @@ class SpectralSolution(QueueSolution):
         matrices: ModulatedQueueMatrices,
         rate_matrix: np.ndarray,
         levels: np.ndarray,
+        tail_factor: tuple[np.ndarray, np.ndarray],
         boundary_residual: float,
         rate_residual: float,
     ) -> None:
@@ -89,6 +90,13 @@ class SpectralSolution(QueueSolution):
         self._rate_residual = rate_residual
         # Row t is v_N R^t; rows are appended as levels are first asked for.
         self._repeating_rows = [levels[-1]]
+        # The tail vectors reuse the boundary reduction's LU factors of I - R,
+        # made inside the solve's one-thread BLAS scope: factoring I - R on
+        # first metric access would run outside it and wake OpenBLAS's threads.
+        # tau = (I - R)^{-1} 1: v_{N+t} tau is the mass at levels N + t and up.
+        self._tail_mass = scipy.linalg.lu_solve(tail_factor, np.ones(matrices.num_modes))
+        # sum_{j >= N} v_j = v_N (I - R)^{-1}, a vector over modes.
+        self._tail_mode_vector = scipy.linalg.lu_solve(tail_factor, levels[-1], trans=1)
 
     # ------------------------------------------------------------------ #
     # Model metadata
@@ -182,21 +190,6 @@ class SpectralSolution(QueueSolution):
             return float(max(self._boundary_vectors[num_jobs].sum(), 0.0))
         return float(max(self._repeating_row(num_jobs - self.num_servers).sum(), 0.0))
 
-    @cached_property
-    def _tail_factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """The LU factors of ``I - R``."""
-        return scipy.linalg.lu_factor(np.eye(self.num_modes) - self._rate)
-
-    @cached_property
-    def _tail_mass(self) -> np.ndarray:
-        """``tau = (I - R)^{-1} 1``: ``v_{N+t} tau`` is the mass at levels ``N + t`` and up."""
-        return scipy.linalg.lu_solve(self._tail_factor, np.ones(self.num_modes))
-
-    @cached_property
-    def _tail_mode_vector(self) -> np.ndarray:
-        """``sum_{j >= N} v_j = v_N (I - R)^{-1}`` as a vector over modes."""
-        return scipy.linalg.lu_solve(self._tail_factor, self._repeating_rows[0], trans=1)
-
     def mode_marginals(self) -> np.ndarray:
         total = self._boundary_vectors.sum(axis=0) + self._tail_mode_vector
         total = np.clip(total, 0.0, None)
@@ -285,7 +278,7 @@ class SpectralSolution(QueueSolution):
 
 def _solve_boundary_system(
     matrices: ModulatedQueueMatrices, rate: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray]]:
     """Solve the boundary equations for ``v_0 .. v_N`` by level reduction.
 
     The equations are the balance equations (paper Eq. 14) at levels
@@ -307,9 +300,10 @@ def _solve_boundary_system(
     the normalisation, and if that square system is singular the bordered
     ``(s + 1) x s`` system is solved by least squares instead.
 
-    Returns ``v_0 .. v_N`` as an ``(N + 1, s)`` array and the 2-norm of the
+    Returns ``v_0 .. v_N`` as an ``(N + 1, s)`` array, the 2-norm of the
     residual of the full system — every balance equation, the replaced one
-    included, and the normalisation — so a bad solve cannot go unnoticed.
+    included, and the normalisation — so a bad solve cannot go unnoticed, and
+    the LU factors of ``I - R``, which the solution's tail metrics reuse.
     """
     num_servers = matrices.num_servers
     num_modes = matrices.num_modes
@@ -331,9 +325,8 @@ def _solve_boundary_system(
     mass = np.ones(num_modes)
     for reducer in reducers[:-1]:
         mass = 1.0 + reducer @ mass
-    tail_mass = scipy.linalg.lu_solve(
-        scipy.linalg.lu_factor(np.eye(num_modes) - rate), np.ones(num_modes)
-    )
+    tail_factor = scipy.linalg.lu_factor(np.eye(num_modes) - rate)
+    tail_mass = scipy.linalg.lu_solve(tail_factor, np.ones(num_modes))
     normalisation = reducers[-1] @ mass + tail_mass
     balance = schur + rate * service[-1]
 
@@ -363,7 +356,7 @@ def _solve_boundary_system(
     flows[1:] += arrival_rate * levels[:-2]
     mass_error = levels[:num_servers].sum() + top @ tail_mass - 1.0
     residual = float(np.hypot(np.linalg.norm(flows), abs(mass_error)))
-    return levels[:-1], residual
+    return levels[:-1], residual, tail_factor
 
 
 @single_threaded_blas()
@@ -409,7 +402,7 @@ def solve_spectral(model: UnreliableQueueModel) -> SpectralSolution:
             "(consider the geometric approximation)"
         )
 
-    levels, residual_norm = _solve_boundary_system(matrices, rate)
+    levels, residual_norm, tail_factor = _solve_boundary_system(matrices, rate)
     registry.histogram(
         "repro_spectral_boundary_residual",
         "Residual 2-norm of the spectral boundary equations, per solve.",
@@ -433,6 +426,7 @@ def solve_spectral(model: UnreliableQueueModel) -> SpectralSolution:
         matrices=matrices,
         rate_matrix=rate,
         levels=np.clip(levels, 0.0, None),
+        tail_factor=tail_factor,
         boundary_residual=residual_norm,
         rate_residual=rate_residual,
     )

@@ -11,9 +11,11 @@ the one engine behind all of them (and behind user-defined grids via the
   default) and the fallback order on failure (``geometric``, ``ctmc``,
   ``simulate``); this is :class:`repro.solvers.SolverPolicy`, re-exported —
   dispatch, fallback and caching all live in :mod:`repro.solvers`;
-* :class:`SweepRunner` — evaluates the grid serially or across worker
-  processes through :func:`repro.solvers.solve_many`, memoising each
-  distinct configuration in a :class:`~repro.solvers.SolutionCache`;
+* :class:`SweepRunner` — evaluates the grid through
+  :func:`repro.solvers.solve_many`, serially or, with ``parallel=True``,
+  across worker processes when the grid's estimated work pays for the pool,
+  memoising each distinct configuration in a
+  :class:`~repro.solvers.SolutionCache`;
 * :class:`SweepResultSet` / :class:`SweepResult` — structured rows with
   CSV/JSON export.
 

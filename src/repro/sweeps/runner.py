@@ -11,8 +11,10 @@ and shape the outcomes into result rows:
 * **solver fallback** — each point is evaluated with the first solver of its
   policy that succeeds (see :func:`repro.solvers.evaluate`);
 * **process parallelism** — grid points are independent, so with
-  ``parallel=True`` they are fanned out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`; the serial path is
+  ``parallel=True`` they may fan out over a
+  :class:`concurrent.futures.ProcessPoolExecutor`: they do when the grid's
+  estimated work pays for the pool (see :func:`repro.solvers.solve_many`),
+  and run serially in-process otherwise.  The serial path is
   byte-for-byte deterministic with the parallel one because every evaluation
   is a pure function of ``(model, policy)``;
 * **caching** — outcomes are memoised in a :class:`~repro.solvers.SolutionCache`
@@ -68,8 +70,10 @@ class SweepRunner:
     Parameters
     ----------
     parallel:
-        Evaluate grid points across worker processes.  The results are
-        identical to the serial path; only wall-clock time changes.
+        Let grid points fan out over worker processes when the grid's
+        estimated work pays for the pool (smaller grids run serially).  The
+        results are identical to the serial path; only wall-clock time
+        changes.
     max_workers:
         Worker-process count (defaults to the usable CPU count).
     cache:
@@ -102,7 +106,7 @@ class SweepRunner:
 
     @property
     def parallel(self) -> bool:
-        """Whether grid points are evaluated across worker processes."""
+        """Whether grid points may fan out over worker processes."""
         return self._parallel
 
     @property

@@ -17,6 +17,7 @@ import time
 import warnings
 
 import pytest
+import scipy.linalg
 
 from repro import blas
 from repro.blas import blas_runtime, controlled_libraries, single_threaded_blas
@@ -61,6 +62,25 @@ def test_solve_spectral_runs_on_one_thread_and_restores_the_ambient_count(
     monkeypatch.setattr(spectral_solution, "_solve_boundary_system", spy)
     solve_spectral(sun_fitted_model(5, 3.5))
     assert seen == [[1] * len(libraries)]
+    assert _threads(libraries) == [AMBIENT] * len(libraries)
+
+
+def test_tail_metrics_of_a_fresh_solution_factor_on_one_thread(libraries, monkeypatch):
+    # From s = 150 modes up, an LU of I - R run outside the scope wakes
+    # OpenBLAS's other threads, which then spin.
+    seen: list[list[int]] = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def spy(matrix, *args, **kwargs):
+        seen.append(_threads(libraries))
+        return lu_factor(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+    solution = solve_spectral(sun_fitted_model(5, 3.5))
+    solution.mean_queue_length
+    solution.mode_marginals()
+    solution.queue_length_tail(12)
+    assert seen and all(threads == [1] * len(libraries) for threads in seen)
     assert _threads(libraries) == [AMBIENT] * len(libraries)
 
 

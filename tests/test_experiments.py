@@ -247,6 +247,10 @@ class TestRunner:
             assert name in rendered
         _assert_matches_to_last_digit(_quick_text(reports), GOLDEN_QUICK_REPORTS.read_text())
 
+    def test_quick_parallel_run_matches_the_golden_reports(self):
+        reports = run_all_experiments(quick=True, include_section2=False, parallel=True)
+        _assert_matches_to_last_digit(_quick_text(reports), GOLDEN_QUICK_REPORTS.read_text())
+
     def test_golden_comparison_allows_one_unit_in_the_last_digit(self):
         _assert_matches_to_last_digit("L 1.0870 N 12", "L 1.0869 N 12")
         # Two units off, a digit dropped, an integer changed, the text changed.

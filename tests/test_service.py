@@ -429,6 +429,8 @@ class TestInterruptShutsPoolDownPromptly:
         """Ctrl-C during a parallel batch must not wait for in-flight items."""
         _InterruptedExecutor.instances.clear()
         monkeypatch.setattr(facade_module, "ProcessPoolExecutor", _InterruptedExecutor)
+        # Four small spectral solves fall under the break-even: force the pool.
+        monkeypatch.setattr(facade_module, "POOL_BREAK_EVEN_WORK", 0.0)
         models = [
             small_model.with_arrival_rate(0.5 + 0.1 * index) for index in range(4)
         ]

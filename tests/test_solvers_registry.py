@@ -16,6 +16,7 @@ import pytest
 from repro.distributions import Deterministic, Exponential, HyperExponential
 from repro.distributions.base import Distribution
 from repro.exceptions import ParameterError, SimulationError, SolverError
+from repro.obs.metrics import numerics_registry
 from repro.queueing import UnreliableQueueModel, sun_fitted_model
 from repro.solvers import (
     BUILTIN_SOLVER_NAMES,
@@ -28,6 +29,7 @@ from repro.solvers import (
     default_registry,
     distribution_key,
     evaluate,
+    facade,
     get_solver,
     register_solver,
     solve,
@@ -103,6 +105,20 @@ def _deterministic_model() -> UnreliableQueueModel:
         operative=Deterministic(value=30.0),
         inoperative=Exponential(rate=5.0),
     )
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The process pools ``solve_many`` creates: real pools, recorded."""
+    created: list[object] = []
+
+    class RecordingPool(facade.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(facade, "ProcessPoolExecutor", RecordingPool)
+    return created
 
 
 class ConstantSolver(Solver):
@@ -417,6 +433,76 @@ class TestSolveMany:
         assert serial_cache.stats()["solves"] == 3
         assert parallel_cache.stats()["solves"] == 3
 
+    def test_pooled_batch_matches_serial_and_deduplicates(self, pools, monkeypatch):
+        monkeypatch.setattr(facade, "POOL_BREAK_EVEN_WORK", 0.0)
+        models = [
+            sun_fitted_model(num_servers=count, arrival_rate=3.5)
+            for count in (5, 6, 5, 6, 7)
+        ]
+        serial_cache = SolutionCache()
+        serial = solve_many(models, "spectral", cache=serial_cache)
+        pooled_cache = SolutionCache()
+        pooled = solve_many(models, "spectral", parallel=True, max_workers=2, cache=pooled_cache)
+        assert len(pools) == 1
+        assert [outcome.metrics for outcome in pooled] == [outcome.metrics for outcome in serial]
+        assert serial_cache.stats()["solves"] == 3
+        assert pooled_cache.stats()["solves"] == 3
+
+
+def _parallel_batches() -> tuple[float, ...]:
+    """``repro_parallel_batches_total`` for the serial and the pool path."""
+    return tuple(
+        numerics_registry().counter("repro_parallel_batches_total", labels={"path": path}).value
+        for path in ("serial", "pool")
+    )
+
+
+class TestParallelGate:
+    """``parallel=True`` fans out only when the estimated work pays for a pool."""
+
+    MODELS = [sun_fitted_model(num_servers=count, arrival_rate=3.5) for count in (5, 6, 7)]
+
+    def test_small_spectral_batch_runs_serially_without_a_pool(self, pools):
+        serial = solve_many(self.MODELS, "spectral", cache=False)
+        serial_batches, pool_batches = _parallel_batches()
+        gated = solve_many(self.MODELS, "spectral", parallel=True, max_workers=2, cache=False)
+        assert pools == []
+        assert gated == serial
+        assert _parallel_batches() == (serial_batches + 1, pool_batches)
+
+    def test_the_same_batch_over_the_break_even_creates_one_pool(self, pools, monkeypatch):
+        monkeypatch.setattr(facade, "POOL_BREAK_EVEN_WORK", 0.0)
+        serial = solve_many(self.MODELS, "spectral", cache=False)
+        serial_batches, pool_batches = _parallel_batches()
+        pooled = solve_many(self.MODELS, "spectral", parallel=True, max_workers=2, cache=False)
+        assert len(pools) == 1
+        assert pooled == serial
+        assert _parallel_batches() == (serial_batches, pool_batches + 1)
+
+    def test_a_batch_of_unknown_cost_keeps_the_pool(self, pools):
+        models = [sun_fitted_model(num_servers=3, arrival_rate=rate) for rate in (1.0, 1.5)]
+        outcomes = solve_many(models, "ctmc", parallel=True, max_workers=2, cache=False)
+        assert len(pools) == 1
+        assert [outcome.solver for outcome in outcomes] == ["ctmc", "ctmc"]
+
+    def test_a_model_the_first_solver_rejects_reaches_the_pool(self, pools):
+        # Deterministic periods have no modes (num_modes raises), so the
+        # spectral estimate must not ask for them.
+        policy = SolverPolicy(order=("spectral", "simulate"), simulate_horizon=2_000.0)
+        models = [_deterministic_model(), sun_fitted_model(num_servers=3, arrival_rate=1.5)]
+        outcomes = solve_many(models, policy, parallel=True, max_workers=2, cache=False)
+        assert len(pools) == 1
+        assert [outcome.solver for outcome in outcomes] == ["simulate", "spectral"]
+
+    def test_work_estimates_of_the_built_in_backends(self):
+        model = sun_fitted_model(num_servers=15, arrival_rate=8.0)
+        assert get_solver("spectral").work_estimate(model) == 15 * model.num_modes**3
+        assert get_solver("geometric").work_estimate(model) == 0.0
+        for name in ("ctmc", "simulate", "transient"):
+            assert get_solver(name).work_estimate(model) is None
+        assert get_solver("spectral").work_estimate(_deterministic_model()) is None
+        assert get_solver("geometric").work_estimate(_deterministic_model()) is None
+
 
 class TestOneCTMCPath:
     def test_ctmc_solver_takes_no_policy_options(self):
@@ -528,13 +614,15 @@ class TestSweepRunnerDeduplication:
         assert results[0].metrics == results[2].metrics
         assert results[1].metrics == results[3].metrics
 
-    def test_parallel_duplicated_grid_points_share_the_cache(self):
+    def test_parallel_duplicated_grid_points_share_the_cache(self, monkeypatch):
         spec = SweepSpec(
             base_model=sun_fitted_model(num_servers=10, arrival_rate=7.0),
             axes=[("num_servers", (10, 11, 10, 11, 12))],
             policy=SolverPolicy(order=("geometric",)),
         )
         runner = SweepRunner(parallel=True, max_workers=2)
+        # Three geometric solves fall under the break-even: force the pool.
+        monkeypatch.setattr(facade, "POOL_BREAK_EVEN_WORK", 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             results = runner.run(spec)

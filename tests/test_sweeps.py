@@ -11,6 +11,7 @@ from repro.exceptions import ParameterError, SolverError
 from repro.experiments import figure5, figure7, parameters
 from repro.optimization import cost_curve
 from repro.queueing import UnreliableQueueModel, sun_fitted_model
+from repro.solvers import facade
 from repro.sweeps import (
     SolverPolicy,
     SweepAxis,
@@ -209,7 +210,9 @@ class TestRunnerCaching:
 
 
 class TestParallelExecution:
-    def test_parallel_results_match_serial(self):
+    def test_parallel_results_match_serial(self, monkeypatch):
+        # Four small solves fall under the break-even: force the pool.
+        monkeypatch.setattr(facade, "POOL_BREAK_EVEN_WORK", 0.0)
         spec = _spec()
         serial = SweepRunner(parallel=False).run(spec)
         parallel = SweepRunner(parallel=True, max_workers=2).run(spec)

@@ -142,6 +142,7 @@ def simulated_response_time_distribution(
         raise SimulationError("warmup_fraction must lie in [0, 1)")
     simulator = ScenarioSimulator(ScenarioModel.from_homogeneous(model), seed=seed)
     simulator.run(horizon)
+    simulator.close()
     warmup_time = warmup_fraction * horizon
     samples = np.array(
         sorted(

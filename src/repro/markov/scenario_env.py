@@ -25,6 +25,7 @@ truncated CTMC and transient analysis — reads its matrices from here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -43,6 +44,9 @@ from .partitions import enumerate_modes, num_modes
 #: accessors will materialise an ``s x s`` array.  Hot paths use the sparse
 #: accessors; the dense ones remain for the spectral algebra and small chains.
 DENSE_MODE_LIMIT = 4096
+
+#: Group shapes ``(size, n, m)`` whose local mode and move tables stay memoized.
+_LOCAL_SPACE_CACHE_SIZE = 64
 
 
 def _as_phase_mixture(distribution: Distribution, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -108,11 +112,19 @@ def _shifted(occupancy: tuple[int, ...], phase: int, delta: int) -> tuple[int, .
     return tuple(changed)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=_LOCAL_SPACE_CACHE_SIZE)
 def _local_space(size: int, n: int, m: int) -> _LocalSpace:
     """The local modes and moves of a group of ``size`` servers.
 
     Depends only on the group size and the phase counts; the rates are
-    applied by :class:`ScenarioEnvironment`.
+    applied by :class:`ScenarioEnvironment`.  Memoized, so every environment
+    with a group of this shape shares one read-only copy: a sweep builds a
+    new environment per solve, but each group shape's tables only once.
     """
     modes = enumerate_modes(size, n, m)
     index = {mode: position for position, mode in enumerate(modes)}
@@ -129,10 +141,11 @@ def _local_space(size: int, n: int, m: int) -> _LocalSpace:
                 repairs.append((source, target, inoperative[k], k, j))
 
     def moves(entries: list[tuple[int, int, int, int, int]]) -> _Moves:
-        table = np.array(entries, dtype=np.int64).reshape(-1, 5)
-        return _Moves(table[:, 0], table[:, 1], table[:, 2].astype(float), table[:, 3], table[:, 4])
+        table = _read_only(np.array(entries, dtype=np.int64).reshape(-1, 5))
+        count = _read_only(table[:, 2].astype(float))
+        return _Moves(table[:, 0], table[:, 1], count, table[:, 3], table[:, 4])
 
-    operative_counts = np.array([float(sum(operative)) for operative, _ in modes])
+    operative_counts = _read_only(np.array([float(sum(operative)) for operative, _ in modes]))
     return _LocalSpace(len(modes), operative_counts, moves(breakdowns), moves(repairs))
 
 

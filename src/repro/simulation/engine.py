@@ -75,6 +75,10 @@ class EventScheduler:
         """The number of events still in the future-event list (including cancelled)."""
         return len(self._heap)
 
+    def clear(self) -> None:
+        """Drop every pending event, and with it each action's references."""
+        self._heap.clear()
+
     def schedule(self, delay: float, action: Callable[[], None]) -> EventHandle:
         """Schedule ``action`` to run ``delay`` time units from now.
 

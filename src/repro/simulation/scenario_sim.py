@@ -121,6 +121,7 @@ class ScenarioSimulator:
         self._busy_accumulator = TimeWeightedAccumulator()
         self._completed_jobs: list[tuple[float, float]] = []
         self._started = False
+        self._closed = False
 
     # ------------------------------------------------------------------ #
     # Public interface
@@ -172,10 +173,26 @@ class ScenarioSimulator:
         """Run (or continue) the simulation until the given absolute time."""
         if horizon <= 0.0:
             raise SimulationError(f"horizon must be positive, got {horizon}")
+        if self._closed:
+            raise SimulationError("the simulator was closed; it cannot run further")
         if not self._started:
             self._bootstrap()
             self._started = True
         self._scheduler.run_until(horizon)
+
+    def close(self) -> None:
+        """Release the pending events and the servers' handles to them.
+
+        Each pending event's action refers back to the simulator, and the
+        servers hold handles to those events, so until they are dropped a
+        finished simulator is a reference cycle that only the cyclic garbage
+        collector frees.  The statistics stay readable; the run cannot go on.
+        """
+        self._scheduler.clear()
+        for server in self._servers:
+            server.completion_handle = None
+            server.repair_handle = None
+        self._closed = True
 
     def completed_jobs(self) -> list[tuple[float, float]]:
         """Return ``(completion_time, response_time)`` pairs for finished jobs."""
@@ -424,6 +441,7 @@ def simulate_scenario(
 
     simulator = ScenarioSimulator(scenario, seed=seed)
     simulator.run(horizon)
+    simulator.close()
 
     warmup_time = warmup_fraction * horizon
     measurement_time = horizon - warmup_time

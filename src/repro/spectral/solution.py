@@ -44,7 +44,7 @@ from ..obs.metrics import RESIDUAL_BUCKETS, SWEEP_COUNT_BUCKETS, numerics_regist
 from ..queueing.model import UnreliableQueueModel
 from ..queueing.solution_base import QueueSolution
 from .approximation import decay_rate
-from .eigen import eigenvalues_inside_unit_disk, rate_matrix
+from .eigen import eigenvalues_inside_unit_disk, invert, rate_matrix
 from .qbd import ModulatedQueueMatrices
 
 #: Largest acceptable violation of non-negativity in computed probabilities.
@@ -316,7 +316,7 @@ def _solve_boundary_system(
     reducers: list[np.ndarray] = []
     schur = local
     for level in range(1, num_servers + 1):
-        reducer = service[level][:, np.newaxis] * np.linalg.inv(-schur)
+        reducer = service[level][:, np.newaxis] * invert(-schur)
         reducers.append(reducer)
         schur = local + arrival_rate * reducer - np.diag(service[level])
 
@@ -370,9 +370,9 @@ def solve_spectral(model: UnreliableQueueModel) -> SpectralSolution:
     ParameterError
         If the period distributions are not exponential/hyperexponential.
     SolverError
-        If the logarithmic reduction does not converge, or the rate matrix's
-        residual, the boundary system's residual or a negative probability
-        indicates numerical failure.
+        If the logarithmic reduction does not converge, an inversion meets a
+        singular matrix, or the rate matrix's residual, the boundary system's
+        residual or a negative probability indicates numerical failure.
     """
     model.require_stable()
     environment = model.environment  # validates the period distributions

@@ -117,6 +117,7 @@ def simulate_transient(
                 simulator.run(t)
             queue_samples[replication, index] = simulator.num_jobs_in_system
             operative_samples[replication, index] = simulator.num_operative_servers
+        simulator.close()
 
     queue_intervals = tuple(
         batch_means_interval(queue_samples[:, index], confidence=confidence)

@@ -23,6 +23,7 @@ from repro import blas
 from repro.blas import blas_runtime, controlled_libraries, single_threaded_blas
 from repro.queueing import sun_fitted_model
 from repro.spectral import approximation, solve_geometric, solve_spectral
+from repro.spectral import eigen as spectral_eigen
 from repro.spectral import solution as spectral_solution
 
 #: The ambient thread count the tests install: neither 1 nor a common CPU count.
@@ -62,6 +63,24 @@ def test_solve_spectral_runs_on_one_thread_and_restores_the_ambient_count(
     monkeypatch.setattr(spectral_solution, "_solve_boundary_system", spy)
     solve_spectral(sun_fitted_model(5, 3.5))
     assert seen == [[1] * len(libraries)]
+    assert _threads(libraries) == [AMBIENT] * len(libraries)
+
+
+def test_every_inversion_of_a_large_solve_runs_on_one_thread(libraries, monkeypatch):
+    # The inversions call scipy's LAPACK, so its OpenBLAS must be in scope too,
+    # not only the numpy copy np.linalg.inv used.
+    seen: list[list[int]] = []
+    invert = spectral_eigen.invert
+
+    def spy(matrix):
+        seen.append(_threads(libraries))
+        return invert(matrix)
+
+    monkeypatch.setattr(spectral_eigen, "invert", spy)
+    monkeypatch.setattr(spectral_solution, "invert", spy)
+    solve_spectral(sun_fitted_model(17, 11.0))
+    assert len(seen) > 17
+    assert all(threads == [1] * len(libraries) for threads in seen)
     assert _threads(libraries) == [AMBIENT] * len(libraries)
 
 

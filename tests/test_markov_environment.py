@@ -20,6 +20,7 @@ from repro.exceptions import ParameterError, SolverError
 from repro.markov import (
     ScenarioEnvironment,
     expected_num_scenario_modes,
+    scenario_env,
     steady_state_csr,
     steady_state_from_generator,
 )
@@ -55,6 +56,26 @@ class TestEnvironmentStructure:
     def test_unsupported_distribution_rejected(self):
         with pytest.raises(ParameterError, match="Exponential or HyperExponential"):
             ScenarioEnvironment([(2, Deterministic(value=5.0), Exponential(rate=1.0))])
+
+    def test_group_shapes_share_one_read_only_local_space(self):
+        operative = HyperExponential(weights=[0.5, 0.5], rates=[1.0, 0.1])
+        first = ScenarioEnvironment([(7, operative, Exponential(rate=2.0))])
+        hits = scenario_env._local_space.cache_info().hits
+        # Other rates, same shape: 7 servers, 2 operative and 1 inoperative phase.
+        other = HyperExponential(weights=[0.3, 0.7], rates=[2.0, 0.5])
+        second = ScenarioEnvironment([(7, other, Exponential(rate=9.0))])
+        assert scenario_env._local_space.cache_info().hits == hits + 1
+        (local,) = second._local
+        assert local is first._local[0]
+        for array in (
+            local.operative,
+            local.breakdowns.source,
+            local.breakdowns.count,
+            local.repairs.target,
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert not np.array_equal(first.transition_matrix, second.transition_matrix)
 
     def test_homogeneous_model_uses_the_one_group_environment(self):
         model = sun_fitted_model(5, 3.0)

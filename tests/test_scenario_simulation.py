@@ -9,12 +9,17 @@ simulation's confidence interval.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.distributions import Exponential
 from repro.exceptions import SimulationError
+from repro.extensions import simulated_response_time_distribution
+from repro.queueing import sun_fitted_model
 from repro.scenarios import ScenarioModel, ServerGroup, preset_names, scenario_preset
 from repro.simulation import ScenarioSimulator, simulate_scenario
+from repro.transient import simulate_transient
 
 
 def _two_speed(repair_capacity=None, arrival_rate=1.2) -> ScenarioModel:
@@ -102,6 +107,51 @@ class TestSimulateScenario:
             _two_speed(repair_capacity=1), horizon=30_000.0, seed=7
         )
         assert starved.mean_queue_length.estimate > base.mean_queue_length.estimate
+
+
+def _cyclic_garbage_left_by(run) -> int:
+    """Objects only the cyclic collector frees after ``run()``, with it off meanwhile."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestSimulatorMemory:
+    """A finished run frees its event graph by reference counting alone."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: simulate_scenario(
+                scenario_preset("repair-starved-two-speed"), horizon=2000, seed=0
+            ),
+            lambda: simulated_response_time_distribution(
+                sun_fitted_model(3, 1.5), horizon=5000, seed=0
+            ),
+            lambda: simulate_transient(
+                sun_fitted_model(3, 1.5), [1.0, 5.0, 10.0], num_replications=20, seed=0
+            ),
+        ],
+        ids=["simulate_scenario", "response_time_distribution", "simulate_transient"],
+    )
+    def test_entry_points_leave_no_reference_cycle(self, run):
+        run()  # settle first-use caches and imports
+        assert _cyclic_garbage_left_by(run) == 0
+
+    def test_close_keeps_the_statistics_and_ends_the_run(self):
+        simulator = ScenarioSimulator(_two_speed(), seed=3)
+        simulator.run(500.0)
+        completed = simulator.completed_jobs()
+        average = simulator.time_average_jobs(100.0, 500.0)
+        simulator.close()
+        assert simulator.completed_jobs() == completed
+        assert simulator.time_average_jobs(100.0, 500.0) == average
+        with pytest.raises(SimulationError, match="closed"):
+            simulator.run(600.0)
 
 
 class TestPresetCrossValidation:

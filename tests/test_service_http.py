@@ -93,6 +93,22 @@ class TestEndpoints:
         assert payload["metrics"]["evaluation_time"] == 20.0
         assert 0.0 <= payload["metrics"]["availability"] <= 1.0
 
+    def test_singular_pivot_is_answered_by_the_next_solver(self, client):
+        # At this arrival rate the exact solve meets a singular matrix, which
+        # must fall through the solver policy instead of answering 500.
+        payload = client.solve_ok(
+            {
+                "model": {
+                    "servers": 3,
+                    "arrival_rate": 1e-300,
+                    "operative_mean": 10,
+                    "operative_scv": 1,
+                    "repair_mean": 1,
+                }
+            }
+        )
+        assert payload["solver"] != "spectral"
+
     def test_repeat_query_is_served_from_cache(self, client):
         request = {"model": {"servers": 5, "arrival_rate": 3.0}}
         first = client.solve_ok(request)

@@ -106,6 +106,16 @@ class TestEventScheduler:
     def test_step_on_empty_queue_returns_false(self):
         assert not EventScheduler().step()
 
+    def test_clear_drops_every_pending_event(self):
+        scheduler = EventScheduler()
+        fired = []
+        scheduler.schedule(1.0, lambda: fired.append(1))
+        scheduler.schedule(2.0, lambda: fired.append(2)).cancel()
+        scheduler.clear()
+        assert scheduler.num_pending_events == 0
+        assert not scheduler.step()
+        assert fired == []
+
 
 class TestTimeWeightedAccumulator:
     def test_constant_trajectory(self):

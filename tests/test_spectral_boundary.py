@@ -28,8 +28,9 @@ from repro.obs import numerics_registry
 from repro.obs.metrics import RESIDUAL_BUCKETS, SWEEP_COUNT_BUCKETS, Histogram
 from repro.queueing import UnreliableQueueModel, sun_fitted_model
 from repro.solvers import solve
-from repro.spectral import rate_matrix, solve_spectral
+from repro.spectral import ModulatedQueueMatrices, rate_matrix, solve_geometric, solve_spectral
 from repro.spectral import solution as spectral_solution
+from repro.spectral.eigen import invert
 
 
 def _fitted_repairs(num_servers: int, load: float) -> UnreliableQueueModel:
@@ -235,3 +236,52 @@ def test_every_solve_records_its_rate_residual_and_reduction_steps():
     )
     assert steps_after.count == steps_before.count + 1
     assert steps_after.total - steps_before.total == steps
+
+
+def test_inverse_matches_numpy_on_the_solve_matrices(monkeypatch):
+    model = figure5.base_model(8.5, 15)
+    matrices = ModulatedQueueMatrices(
+        model.environment, arrival_rate=model.arrival_rate, service_rate=model.service_rate
+    )
+    schurs: list[np.ndarray] = []
+
+    def capture(matrix):
+        schurs.append(matrix.copy())
+        return invert(matrix)
+
+    monkeypatch.setattr(spectral_solution, "invert", capture)
+    solve_spectral(model)
+    assert len(schurs) == model.num_servers
+    for matrix in (-matrices.q1, schurs[len(schurs) // 2]):
+        assert _relative_gap(invert(matrix), np.linalg.inv(matrix)) <= 1e-12
+
+
+def test_inverse_of_a_singular_matrix_raises_solver_error():
+    singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(SolverError, match="singular 3x3 matrix"):
+        invert(singular)
+
+
+def test_solves_need_no_numpy_inverse(monkeypatch):
+    model = figure5.base_model(8.5, 15)
+    exact = solve_spectral(model).mean_queue_length
+    approximate = solve_geometric(model).mean_queue_length
+
+    def forbidden(matrix):
+        raise AssertionError("np.linalg.inv was called")
+
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    assert solve_spectral(model).mean_queue_length == exact
+    assert solve_geometric(model).mean_queue_length == approximate
+
+
+def test_singular_pivot_fails_over_to_the_next_solver():
+    """At lambda = 1e-20 the first ``-S_0 = D^A - A + lambda I`` is singular in floating point."""
+    model = sun_fitted_model(4, 1e-20)
+    with pytest.raises(SolverError, match="singular"):
+        solve_spectral(model)
+
+    failed = _attempts("failed")
+    outcome = solve(model, ("spectral", "geometric"), cache=False)
+    assert outcome.solver == "geometric"
+    assert _attempts("failed") == failed + 1

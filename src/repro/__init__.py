@@ -61,6 +61,9 @@ Subpackages
 :mod:`repro.transient`
     Time-dependent analysis: uniformization ``pi(t)`` distributions,
     availability and first-passage metrics, ensemble transient simulation.
+:mod:`repro.query`
+    The request vocabulary shared by the command line and the service: the
+    model's six fields, declared once, and the request-body parser.
 :mod:`repro.service`
     The async solver service: JSON-over-HTTP queries scheduled onto the
     solver facade with single-flight coalescing, batch windows and

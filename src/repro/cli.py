@@ -75,13 +75,13 @@ import sys
 import time
 from collections.abc import Callable, Sequence
 from pathlib import Path
-from typing import NoReturn, TypeVar
+from typing import NoReturn, TypeVar, cast
 
 from .data import read_trace_csv
-from .distributions import Distribution, Exponential, HyperExponential
 from .exceptions import ReproError
 from .experiments import format_key_values, format_table, render_report, run_all_experiments
 from .fitting import fit_exponential, fit_two_phase_from_moments
+from .query import DEFAULT_SOLVER_ORDERS, MODEL_FIELDS, Field, parse_request, time_grid
 from .queueing import UnreliableQueueModel
 from .scenarios import ScenarioModel, preset_description, preset_names, scenario_preset
 from .solvers import SolverPolicy, solve as solve_model, solver_names
@@ -194,6 +194,28 @@ tuning:
 """
 
 
+#: The model flags of ``repro sweep``, whose grid axes replace the required fields.
+_SWEEP_FIELDS = tuple(field for field in MODEL_FIELDS if field.default is not None)
+
+
+def _add_model_flags(
+    parser: argparse.ArgumentParser, fields: Sequence[Field], *, required: bool = False
+) -> None:
+    """One ``--<name>`` flag per field, defaulting to ``None``: the request
+    vocabulary fills in defaults.  ``required`` requires fields without one."""
+    for field in fields:
+        required_flag = required and field.default is None
+        flag = "--" + field.name.replace("_", "-")
+        parser.add_argument(flag, type=field.kind, required=required_flag, help=field.help)
+
+
+def _given(arguments: argparse.Namespace, fields: Sequence[Field | str]) -> dict[str, object]:
+    """The flags among ``fields`` given on the command line, keyed as in a request body."""
+    names = [field if isinstance(field, str) else field.name for field in fields]
+    values = {name: getattr(arguments, name) for name in names}
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser (exposed for tests and docs)."""
     parser = _OneLineErrorParser(
@@ -211,21 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = subparsers.add_parser(
         "solve", help="evaluate one model configuration and print its metrics"
     )
-    solve.add_argument("--servers", type=int, required=True, help="number of servers N")
-    solve.add_argument("--arrival-rate", type=float, required=True, help="Poisson arrival rate")
-    solve.add_argument("--service-rate", type=float, default=1.0, help="per-server service rate")
-    solve.add_argument(
-        "--operative-mean", type=float, default=34.62, help="mean operative period"
-    )
-    solve.add_argument(
-        "--operative-scv",
-        type=float,
-        default=4.6,
-        help="squared coefficient of variation of operative periods (>= 1; 1 = exponential)",
-    )
-    solve.add_argument(
-        "--repair-mean", type=float, default=0.04, help="mean inoperative (repair) period"
-    )
+    _add_model_flags(solve, MODEL_FIELDS, required=True)
     solve.add_argument(
         "--solver",
         "--method",
@@ -283,19 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated Poisson arrival rates (e.g. 6.5,7.0,7.5)",
     )
-    sweep.add_argument("--service-rate", type=float, default=1.0, help="per-server service rate")
-    sweep.add_argument(
-        "--operative-mean", type=float, default=34.62, help="mean operative period"
-    )
-    sweep.add_argument(
-        "--operative-scv",
-        type=float,
-        default=4.6,
-        help="squared coefficient of variation of operative periods (>= 1; 1 = exponential)",
-    )
-    sweep.add_argument(
-        "--repair-mean", type=float, default=0.04, help="mean inoperative (repair) period"
-    )
+    _add_model_flags(sweep, _SWEEP_FIELDS)
     sweep.add_argument(
         "--solvers",
         default="spectral,geometric",
@@ -320,11 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--list", action="store_true", help="list the available scenario presets and exit"
     )
-    scenario.add_argument(
-        "--preset",
-        choices=preset_names(),
-        help="which scenario preset to evaluate",
-    )
+    # The request vocabulary rejects unknown names; argparse only lists them.
+    presets = "{" + ",".join(preset_names()) + "}"
+    scenario.add_argument("--preset", metavar=presets, help="which scenario preset to evaluate")
     scenario.add_argument(
         "--arrival-rate", type=float, default=None, help="override the preset's arrival rate"
     )
@@ -336,14 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario.add_argument(
         "--solvers",
-        default="ctmc,simulate",
+        default=",".join(DEFAULT_SOLVER_ORDERS["scenario"]),
         help="comma-separated solver order with fallback (scenario-capable: ctmc, simulate)",
     )
     scenario.add_argument(
-        "--horizon",
-        type=float,
-        default=50_000.0,
-        help="simulation horizon used when the 'simulate' solver runs",
+        "--horizon", type=float, help="simulation horizon used when the 'simulate' solver runs"
     )
     scenario.add_argument(
         "--json",
@@ -361,29 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     transient.add_argument(
         "--preset",
-        choices=preset_names(),
-        default=None,
+        metavar=presets,
         help="analyse a scenario preset instead of the homogeneous model",
     )
-    transient.add_argument("--servers", type=int, default=4, help="number of servers N")
-    transient.add_argument(
-        "--arrival-rate", type=float, default=2.0, help="Poisson arrival rate"
-    )
-    transient.add_argument(
-        "--service-rate", type=float, default=1.0, help="per-server service rate"
-    )
-    transient.add_argument(
-        "--operative-mean", type=float, default=34.62, help="mean operative period"
-    )
-    transient.add_argument(
-        "--operative-scv",
-        type=float,
-        default=4.6,
-        help="squared coefficient of variation of operative periods (>= 1; 1 = exponential)",
-    )
-    transient.add_argument(
-        "--repair-mean", type=float, default=0.04, help="mean inoperative (repair) period"
-    )
+    _add_model_flags(transient, MODEL_FIELDS)
     transient.add_argument(
         "--repair-capacity",
         type=int,
@@ -630,25 +602,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _operative_distribution(mean: float, scv: float) -> Distribution:
-    if scv < 1.0:
-        raise ReproError(
-            "the analytical model requires an operative-period SCV >= 1 "
-            "(use the simulator for low-variability periods)"
-        )
-    if scv == 1.0:
-        return Exponential(rate=1.0 / mean)
-    return HyperExponential.from_mean_and_scv(mean, scv)
-
-
 def _command_solve(arguments: argparse.Namespace) -> int:
-    model = UnreliableQueueModel(
-        num_servers=arguments.servers,
-        arrival_rate=arguments.arrival_rate,
-        service_rate=arguments.service_rate,
-        operative=_operative_distribution(arguments.operative_mean, arguments.operative_scv),
-        inoperative=Exponential(rate=1.0 / arguments.repair_mean),
-    )
+    payload: dict[str, object] = {"model": _given(arguments, MODEL_FIELDS)}
+    if arguments.method != "both":
+        payload["solvers"] = [arguments.method]
+    request = parse_request(payload)
+    model = cast(UnreliableQueueModel, request.model)
     print(
         format_key_values(
             [
@@ -668,7 +627,7 @@ def _command_solve(arguments: argparse.Namespace) -> int:
     from .obs.profiling import capture_attempts
 
     with capture_attempts() as attempts:
-        _print_solutions(model, arguments)
+        _print_solutions(model, request.policy, arguments)
     if arguments.profile:
         print()
         print(
@@ -690,7 +649,9 @@ def _command_solve(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _print_solutions(model: UnreliableQueueModel, arguments: argparse.Namespace) -> None:
+def _print_solutions(
+    model: UnreliableQueueModel, policy: SolverPolicy, arguments: argparse.Namespace
+) -> None:
     """Print the solution tables for ``repro solve``, recording backend timings."""
     from .obs.profiling import record_attempt
 
@@ -729,7 +690,7 @@ def _print_solutions(model: UnreliableQueueModel, arguments: argparse.Namespace)
     if arguments.method not in ("spectral", "geometric", "both"):
         # Under --profile the cache is bypassed so the fallback chain's
         # attempts actually execute (a memoised hit records nothing).
-        outcome = solve_model(model, arguments.method, cache=False if arguments.profile else None)
+        outcome = solve_model(model, policy, cache=False if arguments.profile else None)
         if outcome.solver is None:
             raise ReproError(outcome.error or "no solver succeeded")
         preferred = [
@@ -818,20 +779,20 @@ def _parse_list(text: str, kind: Callable[[str], _T], name: str) -> tuple[_T, ..
 
 
 def _command_sweep(arguments: argparse.Namespace) -> int:
-    base_model = UnreliableQueueModel(
-        num_servers=1,
-        arrival_rate=1.0,
-        service_rate=arguments.service_rate,
-        operative=_operative_distribution(arguments.operative_mean, arguments.operative_scv),
-        inoperative=Exponential(rate=1.0 / arguments.repair_mean),
-    )
+    servers = _parse_list(arguments.servers, int, "--servers")
+    rates = _parse_list(arguments.arrival_rates, float, "--arrival-rates")
+    fields = _given(arguments, _SWEEP_FIELDS)
+    solvers = list(_parse_list(arguments.solvers, str, "--solvers"))
+    # Every grid point passes the rules a request body for it would.
+    requests = [
+        parse_request({"model": {**fields, "servers": n, "arrival_rate": rate}, "solvers": solvers})
+        for n in servers
+        for rate in rates
+    ]
     spec = SweepSpec(
-        base_model=base_model,
-        axes=[
-            ("num_servers", _parse_list(arguments.servers, int, "--servers")),
-            ("arrival_rate", _parse_list(arguments.arrival_rates, float, "--arrival-rates")),
-        ],
-        policy=SolverPolicy(order=_parse_list(arguments.solvers, str, "--solvers")),
+        base_model=cast(UnreliableQueueModel, requests[0].model),
+        axes=[("num_servers", servers), ("arrival_rate", rates)],
+        policy=requests[0].policy,
         name="cli-sweep",
     )
     runner = SweepRunner(parallel=arguments.parallel, max_workers=arguments.jobs)
@@ -908,11 +869,16 @@ def _command_scenario(arguments: argparse.Namespace) -> int:
         if arguments.json is not None:
             raise ReproError("--json needs --list (preset gallery) or --preset (solved scenario)")
         raise ReproError("choose a preset with --preset, or use --list to see them")
-    scenario = scenario_preset(
-        arguments.preset,
-        arrival_rate=arguments.arrival_rate,
-        repair_capacity=arguments.repair_capacity,
+    request = parse_request(
+        {
+            "query": "scenario",
+            "preset": arguments.preset,
+            "solvers": list(_parse_list(arguments.solvers, str, "--solvers")),
+            "simulate": _given(arguments, ("horizon",)),
+            **_given(arguments, ("arrival_rate", "repair_capacity")),
+        }
     )
+    scenario = cast(ScenarioModel, request.model)
     group_rows = [
         (
             group.name,
@@ -958,11 +924,7 @@ def _command_scenario(arguments: argparse.Namespace) -> int:
     if not scenario.is_stable:
         print("\nThe scenario is unstable; add capacity or reduce the load.")
         return 1
-    policy = SolverPolicy(
-        order=_parse_list(arguments.solvers, str, "--solvers"),
-        simulate_horizon=arguments.horizon,
-    )
-    outcome = solve_model(scenario, policy)
+    outcome = solve_model(scenario, request.policy)
     if outcome.solver is None:
         raise ReproError(outcome.error or "no solver succeeded")
     print()
@@ -1003,39 +965,30 @@ def _command_scenario(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _transient_model(arguments: argparse.Namespace) -> UnreliableQueueModel | ScenarioModel:
-    """The model the ``transient`` subcommand analyses (preset or homogeneous)."""
-    if arguments.preset is not None:
-        return scenario_preset(
-            arguments.preset,
-            repair_capacity=arguments.repair_capacity,
-        )
-    if arguments.repair_capacity is not None:
-        raise ReproError("--repair-capacity applies to scenario presets; pass --preset")
-    return UnreliableQueueModel(
-        num_servers=arguments.servers,
-        arrival_rate=arguments.arrival_rate,
-        service_rate=arguments.service_rate,
-        operative=_operative_distribution(arguments.operative_mean, arguments.operative_scv),
-        inoperative=Exponential(rate=1.0 / arguments.repair_mean),
-    )
-
-
-def _transient_times(arguments: argparse.Namespace) -> tuple[float, ...]:
-    """The evaluation grid: explicit ``--times``, else ``--horizon``/``--points``."""
+def _transient_payload(arguments: argparse.Namespace) -> dict[str, object]:
+    """``repro transient``'s request body: with ``--preset``, ``--arrival-rate``
+    overrides the preset's rate and other model flags are an error."""
     if arguments.times is not None:
-        return _parse_list(arguments.times, float, "--times")
-    if arguments.horizon <= 0.0:
-        raise ReproError(f"--horizon must be positive, got {arguments.horizon}")
-    points = arguments.points
-    if points < 1:
-        raise ReproError(f"--points must be at least 1, got {points}")
-    return tuple(arguments.horizon * (index + 1) / points for index in range(points))
+        times = list(_parse_list(arguments.times, float, "--times"))
+    else:
+        times = time_grid(arguments.horizon, arguments.points)
+    payload = {"query": "transient", "times": times, **_given(arguments, ("repair_capacity",))}
+    fields = _given(arguments, MODEL_FIELDS)
+    if arguments.preset is None:
+        payload["model"] = {"servers": 4, "arrival_rate": 2.0, **fields}
+    else:
+        payload["preset"] = arguments.preset
+        if "arrival_rate" in fields:
+            payload["arrival_rate"] = fields.pop("arrival_rate")
+        if fields:
+            payload["model"] = fields
+    return payload
 
 
 def _command_transient(arguments: argparse.Namespace) -> int:
-    model = _transient_model(arguments)
-    times = _transient_times(arguments)
+    request = parse_request(_transient_payload(arguments))
+    model = request.model
+    times = request.policy.transient_times
     solution = solve_transient(model, times, initial=arguments.initial)
     print(
         format_key_values(

@@ -9,7 +9,7 @@ request coalescing and admission-control backpressure.
 The moving parts, each in its own module:
 
 :mod:`~repro.service.protocol`
-    The JSON request/response schema and its strict validator.
+    The JSON request/response schema around the :mod:`repro.query` validator.
 :mod:`~repro.service.scheduler`
     :class:`BatchScheduler` — coalescing, batch windows, bounded queue,
     per-request deadlines.
@@ -62,13 +62,8 @@ from .errors import (
     UnstableModelError,
     WorkerCrashedError,
 )
-from .protocol import (
-    DEFAULT_SOLVER_ORDERS,
-    QUERY_KINDS,
-    SolveRequest,
-    parse_body,
-    parse_solve_request,
-)
+from ..query import DEFAULT_SOLVER_ORDERS, QUERY_KINDS, SolveRequest
+from .protocol import parse_body, parse_solve_request
 from .scheduler import (
     DEFAULT_SHED_THRESHOLDS,
     SHED_TIER_ORDER,

@@ -20,14 +20,7 @@ Request schema::
 
     {
       "query": "steady-state" | "scenario" | "transient",   # default steady-state
-      "model": {                      # steady-state/transient without preset
-        "servers": 10,                # required
-        "arrival_rate": 7.0,          # required
-        "service_rate": 1.0,
-        "operative_mean": 34.62,
-        "operative_scv": 4.6,         # >= 1 (1 = exponential)
-        "repair_mean": 0.04
-      },
+      "model": {"servers": 10, "arrival_rate": 7.0, ...},    # without preset
       "preset": "two-speed-cluster",  # scenario (and scenario transients)
       "arrival_rate": 7.0,            # optional preset override
       "repair_capacity": 2,           # optional preset override
@@ -45,69 +38,29 @@ A success response is ``{"status": "ok", "query": ..., "solver": ...,
 Parsing is deliberately strict: unknown top-level keys, ill-typed fields and
 unstable models are rejected *before* admission, so the scheduler only ever
 sees work that can succeed, and every rejection names the offending field.
+:mod:`repro.query` holds that vocabulary, the command line's too: the
+``model`` fields with their defaults and bounds are its ``MODEL_FIELDS``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
-from ..distributions import Exponential, HyperExponential
-from ..exceptions import ParameterError, ReproError
-from ..queueing import UnreliableQueueModel
-from ..scenarios import preset_names, scenario_preset
-from ..solvers import SolverPolicy, solver_names
+from ..query import RequestError, SolveRequest, parse_request
 from .errors import (
     BadJSONError,
     BadRequestError,
+    ServiceError,
     UnknownPresetError,
     UnknownSolverError,
     UnstableModelError,
 )
 
-#: The accepted ``query`` values, in documentation order.
-QUERY_KINDS = ("steady-state", "scenario", "transient")
-
-#: Default fallback chain per query kind, used when ``solvers`` is omitted.
-DEFAULT_SOLVER_ORDERS: dict[str, tuple[str, ...]] = {
-    "steady-state": ("spectral", "geometric", "ctmc", "simulate"),
-    "scenario": ("ctmc", "simulate"),
-    "transient": ("transient",),
+#: The service error each :class:`~repro.query.RequestError` code maps onto.
+_REQUEST_ERRORS: dict[str, type[ServiceError]] = {
+    error.code: error for error in (BadRequestError, UnknownSolverError, UnknownPresetError)
 }
-
-#: Top-level request keys the parser accepts (anything else is a typo and is
-#: rejected rather than silently ignored — silently dropped options are the
-#: worst protocol bug to debug from the client side).
-_TOP_LEVEL_KEYS = frozenset(
-    {
-        "query",
-        "model",
-        "preset",
-        "arrival_rate",
-        "repair_capacity",
-        "solvers",
-        "times",
-        "simulate",
-        "deadline",
-    }
-)
-
-_MODEL_KEYS = frozenset(
-    {"servers", "arrival_rate", "service_rate", "operative_mean", "operative_scv", "repair_mean"}
-)
-
-_SIMULATE_KEYS = frozenset({"horizon", "seed", "num_batches", "warmup_fraction"})
-
-
-@dataclass(frozen=True)
-class SolveRequest:
-    """One validated query: a model/policy pair plus its seconds budget."""
-
-    query: str
-    model: object
-    policy: SolverPolicy
-    deadline: float | None = None
 
 
 def parse_body(raw: bytes) -> dict:
@@ -123,186 +76,6 @@ def parse_body(raw: bytes) -> dict:
     return payload
 
 
-def _check_keys(payload: dict, allowed: frozenset, *, where: str) -> None:
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise BadRequestError(
-            f"unknown {where} field(s): {', '.join(unknown)}; "
-            f"accepted: {', '.join(sorted(allowed))}"
-        )
-
-
-def _number(
-    payload: dict,
-    key: str,
-    *,
-    where: str,
-    default: float | None = None,
-    required: bool = False,
-    minimum: float | None = None,
-    exclusive: bool = False,
-) -> float | None:
-    """Read one finite numeric field, enforcing presence and a lower bound."""
-    if key not in payload:
-        if required:
-            raise BadRequestError(f"{where} field {key!r} is required")
-        return default
-    value = payload[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BadRequestError(
-            f"{where} field {key!r} must be a number, got {type(value).__name__}"
-        )
-    value = float(value)
-    if not math.isfinite(value):
-        raise BadRequestError(f"{where} field {key!r} must be finite, got {value}")
-    if minimum is not None and (value <= minimum if exclusive else value < minimum):
-        bound = "greater than" if exclusive else "at least"
-        raise BadRequestError(f"{where} field {key!r} must be {bound} {minimum}, got {value}")
-    return value
-
-
-def _integer(
-    payload: dict, key: str, *, where: str, required: bool = False, minimum: int = 1
-) -> int | None:
-    if key not in payload:
-        if required:
-            raise BadRequestError(f"{where} field {key!r} is required")
-        return None
-    value = payload[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BadRequestError(
-            f"{where} field {key!r} must be an integer, got {type(value).__name__}"
-        )
-    if value < minimum:
-        raise BadRequestError(f"{where} field {key!r} must be at least {minimum}, got {value}")
-    return value
-
-
-def _homogeneous_model(payload: dict) -> UnreliableQueueModel:
-    """Build the homogeneous model described by the ``model`` object."""
-    if not isinstance(payload, dict):
-        raise BadRequestError(
-            f"'model' must be a JSON object, got {type(payload).__name__}"
-        )
-    _check_keys(payload, _MODEL_KEYS, where="model")
-    servers = _integer(payload, "servers", where="model", required=True)
-    arrival_rate = _number(
-        payload, "arrival_rate", where="model", required=True, minimum=0.0, exclusive=True
-    )
-    service_rate = _number(
-        payload, "service_rate", where="model", default=1.0, minimum=0.0, exclusive=True
-    )
-    operative_mean = _number(
-        payload, "operative_mean", where="model", default=34.62, minimum=0.0, exclusive=True
-    )
-    operative_scv = _number(payload, "operative_scv", where="model", default=4.6, minimum=1.0)
-    repair_mean = _number(
-        payload, "repair_mean", where="model", default=0.04, minimum=0.0, exclusive=True
-    )
-    if operative_scv == 1.0:
-        operative = Exponential(rate=1.0 / operative_mean)
-    else:
-        operative = HyperExponential.from_mean_and_scv(operative_mean, operative_scv)
-    try:
-        return UnreliableQueueModel(
-            num_servers=servers,
-            arrival_rate=arrival_rate,
-            service_rate=service_rate,
-            operative=operative,
-            inoperative=Exponential(rate=1.0 / repair_mean),
-        )
-    except ParameterError as exc:
-        raise BadRequestError(f"invalid model: {exc}") from exc
-
-
-def _preset_model(payload: dict) -> object:
-    """Build the scenario model named by ``preset`` (with overrides)."""
-    name = payload["preset"]
-    if not isinstance(name, str):
-        raise BadRequestError(f"'preset' must be a string, got {type(name).__name__}")
-    if name not in preset_names():
-        raise UnknownPresetError(
-            f"unknown scenario preset {name!r}; available: {', '.join(preset_names())}"
-        )
-    arrival_rate = _number(
-        payload, "arrival_rate", where="request", minimum=0.0, exclusive=True
-    )
-    repair_capacity = _integer(payload, "repair_capacity", where="request")
-    try:
-        return scenario_preset(name, arrival_rate=arrival_rate, repair_capacity=repair_capacity)
-    except ReproError as exc:
-        raise BadRequestError(f"invalid scenario overrides: {exc}") from exc
-
-
-def _solver_order(payload: dict, query: str) -> tuple[str, ...]:
-    if "solvers" not in payload:
-        return DEFAULT_SOLVER_ORDERS[query]
-    value = payload["solvers"]
-    if isinstance(value, str):
-        value = [value]
-    valid = isinstance(value, list) and value and all(isinstance(name, str) for name in value)
-    if not valid:
-        raise BadRequestError("'solvers' must be a non-empty list of solver names")
-    registered = solver_names()
-    for name in value:
-        if name not in registered:
-            raise UnknownSolverError(
-                f"unknown solver {name!r}; registered solvers: {', '.join(registered)}"
-            )
-    return tuple(value)
-
-
-def _transient_times(payload: dict) -> tuple[float, ...]:
-    if "times" not in payload:
-        return ()
-    value = payload["times"]
-    if not isinstance(value, list) or not value:
-        raise BadRequestError("'times' must be a non-empty list of evaluation times")
-    times: list[float] = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise BadRequestError(
-                f"'times' entries must be numbers, got {type(item).__name__}"
-            )
-        item = float(item)
-        if not math.isfinite(item) or item < 0.0:
-            raise BadRequestError(f"'times' entries must be finite and non-negative, got {item}")
-        times.append(item)
-    return tuple(times)
-
-
-def _policy(payload: dict, query: str) -> SolverPolicy:
-    order = _solver_order(payload, query)
-    options: dict[str, object] = {"order": order}
-    if query == "transient":
-        options["transient_times"] = _transient_times(payload)
-    elif "times" in payload:
-        raise BadRequestError("'times' applies to transient queries only")
-    simulate = payload.get("simulate", {})
-    if not isinstance(simulate, dict):
-        raise BadRequestError(
-            f"'simulate' must be a JSON object, got {type(simulate).__name__}"
-        )
-    if simulate:
-        _check_keys(simulate, _SIMULATE_KEYS, where="simulate")
-        horizon = _number(simulate, "horizon", where="simulate", minimum=0.0, exclusive=True)
-        if horizon is not None:
-            options["simulate_horizon"] = horizon
-        seed = _integer(simulate, "seed", where="simulate", minimum=0)
-        if seed is not None:
-            options["simulate_seed"] = seed
-        num_batches = _integer(simulate, "num_batches", where="simulate", minimum=2)
-        if num_batches is not None:
-            options["simulate_num_batches"] = num_batches
-        warmup = _number(simulate, "warmup_fraction", where="simulate", minimum=0.0)
-        if warmup is not None:
-            options["simulate_warmup_fraction"] = warmup
-    try:
-        return SolverPolicy(**options)
-    except ParameterError as exc:
-        raise BadRequestError(f"invalid solver policy: {exc}") from exc
-
-
 def parse_solve_request(payload: dict) -> SolveRequest:
     """Validate one ``/solve`` payload into a schedulable :class:`SolveRequest`.
 
@@ -311,46 +84,16 @@ def parse_solve_request(payload: dict) -> SolveRequest:
     rejected here (``unstable-model``) so the scheduler never admits work
     whose answer cannot be serialised.
     """
-    _check_keys(payload, _TOP_LEVEL_KEYS, where="request")
-    query = payload.get("query", "steady-state")
-    if query not in QUERY_KINDS:
-        raise BadRequestError(
-            f"unknown query kind {query!r}; accepted: {', '.join(QUERY_KINDS)}"
-        )
-    if query == "scenario" and "preset" not in payload:
-        raise BadRequestError("scenario queries require a 'preset' name")
-    if "preset" in payload and "model" in payload:
-        raise BadRequestError(
-            "'preset' and 'model' are mutually exclusive; "
-            "name a preset or describe a model, not both"
-        )
-
-    if "preset" in payload:
-        if query == "steady-state":
-            raise BadRequestError(
-                "'preset' applies to scenario and transient queries; "
-                "steady-state queries take a 'model' object"
-            )
-        model = _preset_model(payload)
-    else:
-        if "model" not in payload:
-            raise BadRequestError(f"{query} queries require a 'model' object")
-        for override in ("arrival_rate", "repair_capacity"):
-            if override in payload:
-                raise BadRequestError(
-                    f"top-level {override!r} overrides a 'preset'; "
-                    "set it inside the 'model' object instead"
-                )
-        model = _homogeneous_model(payload["model"])
-
-    deadline = _number(payload, "deadline", where="request", minimum=0.0, exclusive=True)
-    policy = _policy(payload, query)
-    if not model.is_stable:
+    try:
+        request = parse_request(payload)
+    except RequestError as exc:
+        raise _REQUEST_ERRORS[exc.code](str(exc)) from exc
+    if not request.model.is_stable:
         raise UnstableModelError(
             "the requested model is unstable (offered load exceeds the mean "
             "operative capacity); add servers or reduce the arrival rate"
         )
-    return SolveRequest(query=query, model=model, policy=policy, deadline=deadline)
+    return request
 
 
 def json_safe(value: object) -> object:

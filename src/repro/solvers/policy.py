@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -86,8 +87,8 @@ class SolverPolicy:
         object.__setattr__(
             self, "transient_times", tuple(float(t) for t in self.transient_times)
         )
-        if any(t < 0.0 for t in self.transient_times):
-            raise ParameterError("transient_times must be non-negative")
+        if not all(math.isfinite(t) and t >= 0.0 for t in self.transient_times):
+            raise ParameterError("transient_times must be finite and non-negative")
         registry = _VALIDATION_REGISTRY.get()
         if registry is None:
             registry = default_registry()

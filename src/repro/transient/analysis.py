@@ -40,6 +40,7 @@ from .solution import TransientSolution
 from .uniformization import (
     DEFAULT_STATIONARY_TOLERANCE,
     DEFAULT_TAIL_TOLERANCE,
+    check_times,
     transient_distributions,
 )
 
@@ -146,8 +147,7 @@ def normalise_times(times: float | Sequence[float] | np.ndarray) -> tuple[float,
     grid = tuple(sorted({float(t) for t in np.atleast_1d(np.asarray(times, dtype=float))}))
     if not grid:
         raise ParameterError("the evaluation time grid is empty")
-    if grid[0] < 0.0:
-        raise ParameterError(f"evaluation times must be non-negative, got {grid[0]}")
+    check_times(grid)
     return grid
 
 

@@ -36,6 +36,7 @@ the uniformized chain rather than at ``Lambda t``.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -109,6 +110,13 @@ def uniformized_matrix(
     return operator.matrix, operator.rate
 
 
+def check_times(times: Sequence[float]) -> None:
+    """Reject any evaluation time that is not finite and non-negative."""
+    for t in times:
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ParameterError(f"evaluation times must be finite and non-negative, got {t}")
+
+
 def poisson_truncation_point(mean: float, tol: float) -> int:
     """The smallest ``K`` with Poisson tail ``P(X > K) <= tol`` for mean ``mean``."""
     if mean <= 0.0:
@@ -153,8 +161,7 @@ def transient_distributions(
     requested = tuple(float(t) for t in np.atleast_1d(np.asarray(times, dtype=float)))
     if not requested:
         raise ParameterError("at least one evaluation time is required")
-    if any(t < 0.0 for t in requested):
-        raise ParameterError(f"evaluation times must be non-negative, got {min(requested)}")
+    check_times(requested)
     if not 0.0 < tol < 1.0:
         raise ParameterError(f"tol must lie strictly between 0 and 1, got {tol}")
 

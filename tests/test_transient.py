@@ -12,6 +12,8 @@ grid-aware cache keys, and the sweep/CLI wiring hooks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -119,7 +121,7 @@ class TestUniformizationEngine:
 
     @pytest.mark.parametrize(
         ("times", "message"),
-        [((), "at least one"), ((-1.0,), "non-negative")],
+        [((), "at least one"), ((-1.0,), "non-negative"), ((math.inf,), "finite")],
     )
     def test_bad_times_rejected(self, times, message):
         generator, initial = _random_generator(4)
@@ -223,6 +225,11 @@ class TestTransientSolution:
     def test_unstable_model_rejected(self):
         with pytest.raises(UnstableQueueError):
             solve_transient(sun_fitted_model(num_servers=2, arrival_rate=50.0), (1.0,))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ParameterError, match="finite and non-negative"):
+            solve_transient(sun_fitted_model(4, 2.0), [1.0, bad])
 
     def test_initial_distribution_accepts_vectors(self):
         model = _legacy_model()
@@ -458,6 +465,11 @@ class TestTransientSolverBackend:
     def test_policy_rejects_negative_times(self):
         with pytest.raises(ParameterError, match="non-negative"):
             SolverPolicy(order=("transient",), transient_times=(-1.0,))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_policy_rejects_non_finite_times(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            SolverPolicy(order=("transient",), transient_times=(bad,))
 
     def test_with_transient_times_helper(self):
         policy = SolverPolicy().with_transient_times(1.0, 5.0)

@@ -24,8 +24,8 @@ Four subcommands cover the everyday workflows:
 ``scenario``
     Evaluate a named preset from the :mod:`repro.scenarios` library —
     heterogeneous server groups and limited repair crews — through the
-    scenario-capable solvers (``ctmc``, ``simulate``), with optional load
-    and crew-size overrides.  ``--list`` prints the preset gallery
+    scenario-capable solvers (``spectral``, ``ctmc``, ``simulate``), with
+    optional load and crew-size overrides.  ``--list`` prints the preset gallery
     (``--list --json`` emits it as machine-readable JSON).
 
 ``transient``
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--solvers",
         default=",".join(DEFAULT_SOLVER_ORDERS["scenario"]),
-        help="comma-separated solver order with fallback (scenario-capable: ctmc, simulate)",
+        help="comma-separated solver order with fallback (every solver but geometric)",
     )
     scenario.add_argument(
         "--horizon", type=float, help="simulation horizon used when the 'simulate' solver runs"

@@ -51,11 +51,11 @@ class SolverError(ReproError):
 class UnsupportedScenarioError(SolverError):
     """A solver backend cannot evaluate a :class:`~repro.scenarios.ScenarioModel`.
 
-    The spectral expansion and the geometric approximation are derived for the
-    paper's homogeneous server pool; heterogeneous server groups and limited
-    repair crews fall outside their state-space structure, so those backends
-    raise this exception (and solver fallback chains skip past them to the
-    scenario-capable ``ctmc`` and ``simulate`` backends).
+    The geometric approximation is derived for the paper's homogeneous server
+    pool; heterogeneous server groups and limited repair crews fall outside
+    its one-server structure, so that backend raises this exception (and
+    solver fallback chains skip past it to the scenario-capable
+    ``spectral``, ``ctmc`` and ``simulate`` backends).
     """
 
 

@@ -11,6 +11,7 @@ bound's message.  Stability is left to the caller.  Nothing here imports
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .distributions import Distribution, Exponential, HyperExponential
@@ -25,7 +26,7 @@ QUERY_KINDS = ("steady-state", "scenario", "transient")
 #: Default fallback chain per query kind, used when ``solvers`` is omitted.
 DEFAULT_SOLVER_ORDERS: dict[str, tuple[str, ...]] = {
     "steady-state": ("spectral", "geometric", "ctmc", "simulate"),
-    "scenario": ("ctmc", "simulate"),
+    "scenario": ("spectral", "ctmc", "simulate"),
     "transient": ("transient",),
 }
 
@@ -68,10 +69,12 @@ class Field:
         if isinstance(value, bool) or not isinstance(value, (self.kind, int)):
             kind = "an integer" if self.kind is int else "a number"
             raise RequestError(f"{where} field {key!r} must be {kind}, got {type(value).__name__}")
+        # An integer beyond the largest float has no finite value.
+        number = math.inf if abs(value) > sys.float_info.max else float(value)
+        if not math.isfinite(number):
+            raise RequestError(f"{where} field {key!r} must be finite, got {number}")
         if self.kind is float:
-            value = float(value)
-            if not math.isfinite(value):
-                raise RequestError(f"{where} field {key!r} must be finite, got {value}")
+            value = number
         if (value <= self.minimum) if self.exclusive else (value < self.minimum):
             bound = "greater than" if self.exclusive else "at least"
             raise RequestError(f"{where} field {key!r} must be {bound} {self.minimum}, got {value}")

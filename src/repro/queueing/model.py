@@ -22,9 +22,9 @@ Eq. 11) and hands the heavy lifting to the solvers:
 
 The model is the ``K = 1, R = N`` case of :class:`~repro.scenarios.ScenarioModel`:
 its environment is the one-group :class:`~repro.markov.ScenarioEnvironment`,
-and the truncated CTMC, transient analysis and simulation run the scenario
-code on it.  Spectral expansion and the geometric approximation exist for
-this case only.
+and spectral expansion, the truncated CTMC, transient analysis and
+simulation run the scenario code on it.  The geometric approximation exists
+for this case only.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class UnreliableQueueModel:
             self.inoperative, (Exponential, HyperExponential)
         )
 
-    @property
+    @cached_property
     def num_modes(self) -> int:
         """The number of operational modes ``s`` of the Markovian environment (Eq. 12)."""
         return expected_num_scenario_modes([(self.num_servers, self.operative, self.inoperative)])

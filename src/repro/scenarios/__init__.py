@@ -17,10 +17,10 @@ package opens the model up to the workloads real clusters run:
   ``legacy-homogeneous``, ...) shared by the CLI, the examples, the
   benchmarks and the cross-validation tests.
 
-Scenarios participate in the :mod:`repro.solvers` registry: the ``ctmc`` and
-``simulate`` backends accept them directly, while ``spectral`` and
-``geometric`` raise :class:`~repro.exceptions.UnsupportedScenarioError` (so
-fallback chains skip past them), and sweeps can grid over group parameters
+Scenarios participate in the :mod:`repro.solvers` registry: the exact
+``spectral`` backend, ``ctmc`` and ``simulate`` accept them directly, while
+``geometric`` raises :class:`~repro.exceptions.UnsupportedScenarioError` (so
+fallback chains skip past it), and sweeps can grid over group parameters
 and the crew size (see :mod:`repro.sweeps`).
 """
 

@@ -18,9 +18,9 @@ queue-length tail, ``J = N + log(eps) / log(z)``:
   whose :meth:`~repro.scenarios.model.ScenarioModel.as_homogeneous`
   succeeds) ``z`` is the dominant eigenvalue ``z_s`` of the spectral
   expansion — the exact tail decay rate;
-* for every other scenario no spectral decay rate exists and ``z`` is the
-  effective load, a heuristic rather than a bound (with slow repairs the
-  true decay rate can exceed it substantially).
+* for every other scenario ``z`` is the effective load, since the exact
+  decay rate would need the whole rate matrix ``R``: a heuristic rather than
+  a bound (with slow repairs the true decay rate can exceed it substantially).
 
 Either way :func:`solve_scenario_ctmc` checks the realised boundary mass and
 re-solves with a doubled level until the ~1e-10 target is met or the hard

@@ -23,13 +23,11 @@ matters: the scenario model assumes the ``j`` jobs in the system always
 occupy the ``j`` *fastest* operative servers ("fastest-server-first"), which
 keeps the system Markovian and is matched exactly by the scenario simulator.
 
-Solvable by the scenario-aware backends: :meth:`ScenarioModel.solve_ctmc`
-(truncated-CTMC, the reference) and :meth:`ScenarioModel.simulate`
-(discrete-event).  The spectral and geometric solvers of the homogeneous
-model raise :class:`~repro.exceptions.UnsupportedScenarioError` for
-scenarios; ``K = 1, R = N`` scenarios can be converted with
-:meth:`ScenarioModel.as_homogeneous` when the exact spectral solution is
-wanted.
+A scenario chain is the paper's QBD with level- and mode-dependent service
+capacities: :meth:`ScenarioModel.solve_spectral` solves it exactly, and
+:meth:`ScenarioModel.solve_ctmc` (the truncated reference) and
+:meth:`ScenarioModel.simulate` solve it too.  Only the geometric
+approximation raises :class:`~repro.exceptions.UnsupportedScenarioError`.
 """
 
 from __future__ import annotations
@@ -49,6 +47,7 @@ from ..solvers.cache import distribution_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulation.estimators import SimulationEstimate
+    from ..spectral.solution import SpectralSolution
     from .ctmc import ScenarioCTMCSolution
 
 
@@ -189,7 +188,7 @@ class ScenarioModel:
         """Whether every group's period distributions admit the exact Markov model."""
         return all(group.is_markovian for group in self.groups)
 
-    @property
+    @cached_property
     def num_modes(self) -> int:
         """The number of global operational modes (product over groups)."""
         return expected_num_scenario_modes(
@@ -356,8 +355,8 @@ class ScenarioModel:
     def as_homogeneous(self) -> UnreliableQueueModel:
         """Convert a degenerate scenario (``K = 1, R = N``) to the paper's model.
 
-        This is the bridge to the exact spectral and geometric solvers, and
-        the basis of the pinned equivalence tests.
+        This is the bridge to the geometric approximation, and the basis of
+        the pinned equivalence tests.
         """
         if self.num_groups != 1:
             raise ParameterError(
@@ -395,6 +394,12 @@ class ScenarioModel:
     # ------------------------------------------------------------------ #
     # Solvers (lazy imports to keep the package import graph acyclic)
     # ------------------------------------------------------------------ #
+
+    def solve_spectral(self) -> "SpectralSolution":
+        """Solve the scenario exactly by spectral expansion (paper Section 3.1)."""
+        from ..spectral.solution import solve_spectral
+
+        return solve_spectral(self)
 
     def solve_ctmc(
         self,

@@ -10,7 +10,7 @@ library can answer:
 ``scenario``
     A named preset from :mod:`repro.scenarios` (``preset``), optionally
     overriding ``arrival_rate`` and ``repair_capacity``; solved by the
-    scenario-capable chain (``ctmc`` → ``simulate``).
+    scenario-capable chain (``spectral`` → ``ctmc`` → ``simulate``).
 ``transient``
     Time-dependent metrics over the ``times`` grid, for either a ``model``
     object or a ``preset``; solved by the ``transient`` backend (metrics are

@@ -46,42 +46,21 @@ class _MarkovianSolver(Solver):
         )
 
 
-class _HomogeneousOnlySolver(_MarkovianSolver):
-    """Analytical backends derived for the paper's homogeneous pool only.
-
-    Scenario models (heterogeneous groups, limited repair crews) fall outside
-    the spectral state-space structure, so these backends report them as
-    unsupported and raise :class:`UnsupportedScenarioError` — a
-    :class:`~repro.exceptions.SolverError` subclass, so fallback chains skip
-    to the scenario-capable ``ctmc`` and ``simulate`` backends.
-    """
-
-    supports_scenarios = False
-
-    def supports(self, model: "UnreliableQueueModel") -> bool:
-        return not is_scenario_model(model) and super().supports(model)
-
-    def unsupported_reason(self, model: "UnreliableQueueModel") -> str:
-        if is_scenario_model(model):
-            return (
-                f"the {self.name!r} solver handles only the homogeneous model; "
-                "scenario models (server groups, repair crews) need 'ctmc' or "
-                "'simulate' — or ScenarioModel.as_homogeneous() for K=1, R=N"
-            )
-        return super().unsupported_reason(model)
-
-    def _reject_scenarios(self, model: "UnreliableQueueModel") -> None:
-        if is_scenario_model(model):
-            raise UnsupportedScenarioError(self.unsupported_reason(model))
+def _decay_metrics(solution: Any) -> dict[str, float]:
+    return {
+        "mean_queue_length": solution.mean_queue_length,
+        "mean_response_time": solution.mean_response_time,
+        "decay_rate": solution.decay_rate,
+    }
 
 
-class SpectralSolver(_HomogeneousOnlySolver):
-    """Exact spectral-expansion solution (paper Section 3.1)."""
+class SpectralSolver(_MarkovianSolver):
+    """Exact spectral-expansion solution (paper Section 3.1), scenarios included."""
 
     name = "spectral"
+    supports_scenarios = True
 
     def solve(self, model: "UnreliableQueueModel", **options: Any) -> object:
-        self._reject_scenarios(model)
         return model.solve_spectral(**options)
 
     def work_estimate(self, model: "UnreliableQueueModel") -> float | None:
@@ -91,20 +70,31 @@ class SpectralSolver(_HomogeneousOnlySolver):
         return float(model.num_servers * model.num_modes**3)
 
     def metrics(self, solution: Any) -> dict[str, float]:
-        return {
-            "mean_queue_length": solution.mean_queue_length,
-            "mean_response_time": solution.mean_response_time,
-            "decay_rate": solution.decay_rate,
-        }
+        return _decay_metrics(solution)
 
 
-class GeometricSolver(_HomogeneousOnlySolver):
-    """Heavy-load geometric approximation (paper Section 3.2)."""
+class GeometricSolver(_MarkovianSolver):
+    """Heavy-load geometric approximation (paper Section 3.2), homogeneous pool only.
+
+    Scenarios raise :class:`UnsupportedScenarioError`, which fallback chains skip.
+    """
 
     name = "geometric"
 
+    def supports(self, model: "UnreliableQueueModel") -> bool:
+        return not is_scenario_model(model) and super().supports(model)
+
+    def unsupported_reason(self, model: "UnreliableQueueModel") -> str:
+        if is_scenario_model(model):
+            return (
+                f"the {self.name!r} solver handles only the homogeneous model; scenario "
+                "models (server groups, repair crews) need 'spectral', 'ctmc' or 'simulate'"
+            )
+        return super().unsupported_reason(model)
+
     def solve(self, model: "UnreliableQueueModel", **options: Any) -> object:
-        self._reject_scenarios(model)
+        if is_scenario_model(model):
+            raise UnsupportedScenarioError(self.unsupported_reason(model))
         return model.solve_geometric(**options)
 
     def work_estimate(self, model: "UnreliableQueueModel") -> float | None:
@@ -112,11 +102,7 @@ class GeometricSolver(_HomogeneousOnlySolver):
         return 0.0 if self.supports(model) else None
 
     def metrics(self, solution: Any) -> dict[str, float]:
-        return {
-            "mean_queue_length": solution.mean_queue_length,
-            "mean_response_time": solution.mean_response_time,
-            "decay_rate": solution.decay_rate,
-        }
+        return _decay_metrics(solution)
 
 
 class TruncatedCTMCSolver(_MarkovianSolver):

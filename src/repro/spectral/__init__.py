@@ -9,8 +9,8 @@ Public API
   ``Q0 + R Q1 + R^2 Q2 = 0`` by logarithmic reduction; the expansion of
   Eq. 19 is ``v_{N+t} = v_N R^t``, and :func:`eigenvalues_inside_unit_disk`
   returns the eigenvalues of ``R``, the ``z_k`` of Eq. 17–18.
-* :func:`solve_spectral`, :class:`SpectralSolution` — the exact steady-state
-  solution (Eq. 19–20) with all performance metrics.
+* :func:`solve_spectral`, :class:`SpectralSolution` — the exact steady state
+  of the pool or any scenario chain (Eq. 19–20), with all its metrics.
 * :func:`solve_geometric`, :class:`GeometricSolution`, :func:`decay_rate` —
   the heavy-load geometric approximation (Eq. 21) and the decay rate ``z_s``,
   both computed on one server.

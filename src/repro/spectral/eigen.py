@@ -141,7 +141,9 @@ def eigenvalues_inside_unit_disk(rate: np.ndarray) -> np.ndarray:
 
     They are the eigenvalues of the rate matrix ``R`` (complex in general),
     returned sorted by increasing modulus, so the dominant eigenvalue
-    ``z_s`` is last.
+    ``z_s`` is last.  ``R`` is scaled by a power of two first: below
+    ``1e-138`` (light load) LAPACK's own rescaling returns wrong eigenvalues.
     """
-    eigenvalues = scipy.linalg.eigvals(rate)
+    scale = 2.0 ** int(np.frexp(np.max(np.abs(rate)))[1])
+    eigenvalues = scipy.linalg.eigvals(rate / scale) * scale
     return eigenvalues[np.argsort(np.abs(eigenvalues), kind="stable")]

@@ -9,50 +9,52 @@ transition rates through three families of ``s x s`` matrices:
   (breakdowns and repairs), with ``D^A`` the diagonal matrix of its row sums;
 * ``B = lambda I`` — job arrivals (they do not change the mode);
 * ``C_j`` — service completions when ``j`` jobs are present, a diagonal
-  matrix with entries ``min(x_i, j) mu`` where ``x_i`` is the number of
-  operative servers in mode ``i``.  For ``j >= N`` the matrix no longer
-  depends on ``j`` and is written ``C``.
+  matrix of each mode's service capacity with ``j`` jobs present.  For
+  ``j >= N`` the matrix no longer depends on ``j`` and is written ``C``.
 
-The class in this module materialises these matrices for a given model and
-exposes the three coefficient matrices of the characteristic matrix
-polynomial ``Q(z) = Q0 + Q1 z + Q2 z^2`` (paper Eq. 15–16):
-``Q0 = B``, ``Q1 = A - D^A - B - C`` and ``Q2 = C``.
+A scenario chain (server groups, a limited repair crew) is the same QBD with
+a larger environment and fastest-server-first capacities, so the class reads
+all three from the model's chain, as the truncated CTMC and the transient
+engine do: ``A`` from its :class:`~repro.markov.ScenarioEnvironment`,
+``lambda`` from its arrival rate and every ``C_j`` from its
+``service_capacity_by_level``
+(:meth:`~repro.markov.ScenarioEnvironment.capacity_by_level`, which on the
+paper's one group is ``min(x_i, j) mu``, with ``x_i`` the operative servers
+of mode ``i``).  It exposes the three coefficient matrices of the
+characteristic matrix polynomial ``Q(z) = Q0 + Q1 z + Q2 z^2`` (paper
+Eq. 15–16): ``Q0 = B``, ``Q1 = A - D^A - B - C`` and ``Q2 = C``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .._validation import check_non_negative_int, check_positive
 from ..markov import ScenarioEnvironment
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..scenarios.ctmc import ChainModel
+
 
 class ModulatedQueueMatrices:
-    """The QBD matrix family of the unreliable multi-server queue.
+    """The QBD matrix family of a Markov-modulated queue.
 
     Parameters
     ----------
-    environment:
-        The Markovian environment of the homogeneous pool (the ``K = 1,
-        R = N`` :class:`~repro.markov.ScenarioEnvironment`: modes, matrix
-        ``A``, operative counts).
-    arrival_rate:
-        The Poisson arrival rate ``lambda``.
-    service_rate:
-        The per-server exponential service rate ``mu``.
+    model:
+        The chain: an :class:`~repro.queueing.UnreliableQueueModel` or a
+        :class:`~repro.scenarios.ScenarioModel` with exponential or
+        hyperexponential periods.
     """
 
-    def __init__(
-        self,
-        environment: ScenarioEnvironment,
-        arrival_rate: float,
-        service_rate: float,
-    ) -> None:
-        self._environment = environment
-        self._arrival_rate = check_positive(arrival_rate, "arrival_rate")
-        self._service_rate = check_positive(service_rate, "service_rate")
+    def __init__(self, model: "ChainModel") -> None:
+        self._environment = model.environment
+        self._arrival_rate = check_positive(model.arrival_rate, "arrival_rate")
+        # Row j is the diagonal of C_j for j = 0 .. N.
+        self._capacity = model.service_capacity_by_level
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -67,11 +69,6 @@ class ModulatedQueueMatrices:
     def arrival_rate(self) -> float:
         """The Poisson arrival rate ``lambda``."""
         return self._arrival_rate
-
-    @property
-    def service_rate(self) -> float:
-        """The per-server service rate ``mu``."""
-        return self._service_rate
 
     @property
     def num_modes(self) -> int:
@@ -103,17 +100,12 @@ class ModulatedQueueMatrices:
         return self._arrival_rate * np.eye(self.num_modes)
 
     def service_rates(self, level: int) -> np.ndarray:
-        """The diagonal ``min(x_i, j) mu`` of ``C_j`` for ``j = level``."""
+        """The diagonal of ``C_j`` for ``j = level``: each mode's service capacity."""
         level = check_non_negative_int(level, "level")
-        counts = self._environment.operative_counts
-        return np.minimum(counts, float(level)) * self._service_rate
+        return self._capacity[min(level, self.num_servers)]
 
     def service_matrix(self, level: int) -> np.ndarray:
-        """The service matrix ``C_j`` for ``j = level`` jobs in the system.
-
-        Diagonal with entries ``min(x_i, j) mu``; ``C_0`` is the zero matrix
-        by definition and ``C_j = C`` for ``j >= N``.
-        """
+        """The diagonal ``C_j`` for ``j = level`` jobs (``C_0 = 0``, ``C_j = C`` for ``j >= N``)."""
         return np.diag(self.service_rates(level))
 
     @cached_property
@@ -146,12 +138,7 @@ class ModulatedQueueMatrices:
     @cached_property
     def q1(self) -> np.ndarray:
         """``Q1 = A - D^A - B - C`` — the coefficient of ``z^1``."""
-        return (
-            self.mode_transition_matrix
-            - self.mode_row_sums
-            - self.arrival_matrix
-            - self.repeating_service_matrix
-        )
+        return self.local_balance_matrix(self.num_servers)
 
     @cached_property
     def q2(self) -> np.ndarray:
@@ -173,15 +160,11 @@ class ModulatedQueueMatrices:
         ``A - D^A - B - C_level`` plus arrivals ``B`` plus departures
         ``C_level`` must have zero row sums.  Exposed for the test-suite.
         """
-        total = (
-            self.local_balance_matrix(level)
-            + self.arrival_matrix
-            + self.service_matrix(level)
-        )
+        total = self.local_balance_matrix(level) + self.arrival_matrix + self.service_matrix(level)
         return total.sum(axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ModulatedQueueMatrices(modes={self.num_modes}, servers={self.num_servers}, "
-            f"arrival_rate={self._arrival_rate:.6g}, service_rate={self._service_rate:.6g})"
+            f"arrival_rate={self._arrival_rate:.6g})"
         )

@@ -1,9 +1,10 @@
-"""Exact steady-state solution of the model by spectral expansion.
+"""Exact steady-state solution of a Markov-modulated queue by spectral expansion.
 
-This module implements Section 3.1 of the paper end to end:
+This module implements Section 3.1 of the paper end to end, for the paper's
+pool and every scenario chain (the same QBD with other capacities ``C_j``):
 
-1. build the QBD matrices ``A``, ``B``, ``C_j`` and the characteristic
-   polynomial coefficients ``Q0, Q1, Q2`` (see :mod:`repro.spectral.qbd`);
+1. read the QBD matrices ``A``, ``B``, ``C_j`` and the coefficients
+   ``Q0, Q1, Q2`` off the model's chain (:mod:`repro.spectral.qbd`);
 2. compute the rate matrix ``R``, the minimal non-negative solution of
    ``Q0 + R Q1 + R^2 Q2 = 0``, by logarithmic reduction
    (:mod:`repro.spectral.eigen`).  Its eigenvalues are the ``s`` generalized
@@ -13,12 +14,12 @@ This module implements Section 3.1 of the paper end to end:
    runs in real ``s x s`` arithmetic;
 3. determine the level vectors ``v_0 .. v_N`` from the balance equations
    at levels ``0 .. N`` plus the normalisation condition (Eq. 14, 20).  The
-   equations are block-tridiagonal in the level, so a linear level reduction
-   eliminates the boundary levels with ``N`` real ``s x s`` inversions and
-   leaves one ``s x s`` system for ``v_N`` — ``O(N s^3)`` work instead of an
+   equations are block-tridiagonal in the level, so a top-down level
+   reduction (``v_{j+1} = v_j R_j``) takes ``N`` real ``s x s`` inversions and
+   leaves one ``s x s`` system for ``v_0`` — ``O(N s^3)`` work instead of an
    ``O(N^3 s^3)`` dense solve of all ``(N + 1) s`` unknowns at once;
 4. expose the queue-length distribution and all derived performance metrics
-   through the :class:`SpectralSolution` object.
+   through the :class:`SpectralSolution` object, after a flow-balance check.
 
 The closed forms used for the infinite sums (with ``t = j - N`` and
 ``tau = (I - R)^{-1} 1``) are
@@ -34,18 +35,23 @@ from __future__ import annotations
 
 import threading
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
 
 from ..blas import single_threaded_blas
-from ..exceptions import SolverError
+from ..exceptions import ParameterError, SolverError
+from ..markov.scenario_env import DENSE_MODE_LIMIT
 from ..obs.metrics import RESIDUAL_BUCKETS, SWEEP_COUNT_BUCKETS, numerics_registry
 from ..queueing.model import UnreliableQueueModel
 from ..queueing.solution_base import QueueSolution
 from .approximation import decay_rate
 from .eigen import eigenvalues_inside_unit_disk, invert, rate_matrix
 from .qbd import ModulatedQueueMatrices
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..scenarios.ctmc import ChainModel
 
 #: Largest acceptable violation of non-negativity in computed probabilities.
 _NEGATIVITY_TOLERANCE = 1e-7
@@ -56,6 +62,9 @@ _BOUNDARY_RESIDUAL_TOLERANCE = 1e-6
 #: Largest acceptable ``max|Q0 + R Q1 + R^2 Q2|`` of the rate matrix.
 _RATE_RESIDUAL_TOLERANCE = 1e-9
 
+#: Largest acceptable relative flow-balance error ``|sum_j v_j C_j 1 - lambda| / lambda``.
+_FLOW_BALANCE_TOLERANCE = 1e-9
+
 #: Serialises growing a solution's cache of level vectors: each new row is
 #: computed from the current last one and appended, a check-then-act that two
 #: threads walking one solution would otherwise interleave.  Module-level, so
@@ -64,17 +73,17 @@ _ROWS_LOCK = threading.Lock()
 
 
 class SpectralSolution(QueueSolution):
-    """The exact spectral-expansion solution of an unreliable multi-server queue.
+    """The exact spectral-expansion solution of a Markov-modulated queue.
 
-    Instances are created by :func:`solve_spectral` (or the convenience method
-    :meth:`repro.queueing.model.UnreliableQueueModel.solve_spectral`); the
-    constructor wires together the rate matrix and the level vectors and is
-    not meant to be called directly by users.
+    Instances are created by :func:`solve_spectral` (or the models'
+    ``solve_spectral`` convenience methods); the constructor wires together
+    the rate matrix and the level vectors and is not meant to be called
+    directly by users.
     """
 
     def __init__(
         self,
-        model: UnreliableQueueModel,
+        model: "ChainModel",
         matrices: ModulatedQueueMatrices,
         rate_matrix: np.ndarray,
         levels: np.ndarray,
@@ -103,7 +112,7 @@ class SpectralSolution(QueueSolution):
     # ------------------------------------------------------------------ #
 
     @property
-    def model(self) -> UnreliableQueueModel:
+    def model(self) -> "ChainModel":
         """The model that was solved."""
         return self._model
 
@@ -144,8 +153,10 @@ class SpectralSolution(QueueSolution):
 
     @cached_property
     def decay_rate(self) -> float:
-        """The dominant eigenvalue ``z_s``; the asymptotic queue-length decay rate."""
-        return decay_rate(self._model)
+        """The dominant eigenvalue ``z_s`` (one server's for the pool, else ``R``'s)."""
+        if isinstance(self._model, UnreliableQueueModel):
+            return decay_rate(self._model)
+        return float(np.abs(self._eigenvalues[-1]))
 
     @property
     def boundary_residual(self) -> float:
@@ -213,9 +224,9 @@ class SpectralSolution(QueueSolution):
     def mean_jobs_in_service(self) -> float:
         """The mean number of busy (operative and serving) servers.
 
-        Computed exactly as ``sum_{j,i} min(j, x_i) v_j[i]``; for a stable
-        queue this equals ``lambda / mu`` (flow balance), which the test-suite
-        uses as a strong correctness check.
+        Computed exactly as ``sum_{j,i} min(j, x_i) v_j[i]``, with ``x_i`` the
+        operative servers of mode ``i``; for the paper's pool this equals
+        ``lambda / mu`` (flow balance).
         """
         counts = self._matrices.environment.operative_counts
         boundary_part = 0.0
@@ -230,10 +241,12 @@ class SpectralSolution(QueueSolution):
         """The mean number of jobs not currently in service (exact)."""
         return self.mean_queue_length - self.mean_jobs_in_service
 
-    @property
+    @cached_property
     def throughput(self) -> float:
-        """The steady-state departure rate ``mu * E[busy servers]``."""
-        return self._model.service_rate * self.mean_jobs_in_service
+        """The steady-state departure rate ``sum_j v_j C_j 1``; equals ``lambda``."""
+        capacity = self._model.service_capacity_by_level  # row j: C_j 1, j = 0 .. N
+        boundary = float(np.sum(self._boundary_vectors * capacity[:-1]))
+        return boundary + float(self._tail_mode_vector @ capacity[-1])
 
     @cached_property
     def probability_delay(self) -> float:
@@ -287,18 +300,17 @@ def _solve_boundary_system(
         ``v_{j-1} B + v_j L_j + v_{j+1} C_{j+1} = 0``,  ``L_j = A - D^A - B - C_j``,
 
     with ``v_{N+1} = v_N R``, plus the normalisation condition (Eq. 20).  They
-    are block-tridiagonal in the level with real ``s x s`` blocks, so the
-    linear level reduction of Gaver, Jacobs & Latouche (Adv. Appl. Prob. 16,
-    1984) eliminates the levels upward: with ``S_0 = L_0``,
-    ``W_j = C_j (-S_{j-1})^{-1}`` and ``S_j = L_j + lambda W_j``, level
-    ``j - 1`` reads ``v_{j-1} = v_j W_j``.  Each ``-S_j`` is a strictly
-    diagonally dominant M-matrix (``S_j 1 = -lambda 1``, non-negative
-    off-diagonal entries), so every inverse exists and every ``W_j`` is
-    non-negative.  Level ``N`` leaves ``v_N (S_N + R C) = 0``, an ``s x s``
-    system of rank ``s - 1``, normalised by
-    ``v_N (W_N h + (I - R)^{-1} 1) = 1``: its first equation is replaced by
-    the normalisation, and if that square system is singular the bordered
-    ``(s + 1) x s`` system is solved by least squares instead.
+    are reduced from the top down with level-dependent rate matrices
+    (Latouche & Ramaswami, *Introduction to Matrix Analytic Methods in
+    Stochastic Modeling*, SIAM 1999; Bright & Taylor, Stochastic Models 11,
+    1995): ``R_N = R`` and ``R_j = lambda (-(L_{j+1} + R_{j+1} C_{j+2}))^{-1}``
+    for ``j = N - 1 .. 0``, so that ``v_{j+1} = v_j R_j``.  As
+    ``R_{j+1} C_{j+2} 1 = lambda 1``, each inverted matrix is an M-matrix with
+    row sums ``C_{j+1} 1``, not ``lambda``: no cancellation at any load.
+    Level ``0`` leaves ``v_0 (L_0 + R_0 C_1) = 0``, a generator, normalised by
+    ``v_0 (1 + R_0 (1 + ... (1 + R_{N-1} tau))) = 1``, ``tau = (I - R)^{-1} 1``:
+    its first equation is replaced by the normalisation, and if that square
+    system is singular the bordered system is solved by least squares.
 
     Returns ``v_0 .. v_N`` as an ``(N + 1, s)`` array, the 2-norm of the
     residual of the full system — every balance equation, the replaced one
@@ -313,107 +325,98 @@ def _solve_boundary_system(
     # L_0 = A - D^A - B, and L_j = L_0 - C_j.
     local = matrices.local_balance_matrix(0)
 
-    reducers: list[np.ndarray] = []
-    schur = local
-    for level in range(1, num_servers + 1):
-        reducer = service[level][:, np.newaxis] * invert(-schur)
-        reducers.append(reducer)
-        schur = local + arrival_rate * reducer - np.diag(service[level])
+    # R_N = R, then R_{level-1} = lambda (-(L_level + R_level C_{level+1}))^{-1}.
+    ratios = [rate]
+    for level in range(num_servers, 0, -1):
+        pivot = -local - ratios[-1] * service[level + 1]
+        pivot[np.diag_indices(num_modes)] += service[level]
+        ratios.append(arrival_rate * invert(pivot))
+    ratios.reverse()  # ratios[j] = R_j
 
-    # Sum over the boundary levels: sum_{j<N} v_j 1 = v_{N-1} h, with
-    # h = 1 + W_{N-1} (1 + ... (1 + W_1 1)).
-    mass = np.ones(num_modes)
-    for reducer in reducers[:-1]:
-        mass = 1.0 + reducer @ mass
     tail_factor = scipy.linalg.lu_factor(np.eye(num_modes) - rate)
     tail_mass = scipy.linalg.lu_solve(tail_factor, np.ones(num_modes))
-    normalisation = reducers[-1] @ mass + tail_mass
-    balance = schur + rate * service[-1]
+    # The total mass is v_0 h, with h = 1 + R_0 (1 + ... (1 + R_{N-1} tau)).
+    normalisation = tail_mass
+    for ratio in reversed(ratios[:-1]):
+        normalisation = 1.0 + ratio @ normalisation
+    balance = local + ratios[0] * service[1]
 
     square = balance.copy()
     square[:, 0] = normalisation
     rhs = np.zeros(num_modes)
     rhs[0] = 1.0
     try:
-        top = np.linalg.solve(square.T, rhs)
-        solved = bool(np.all(np.isfinite(top)))
+        bottom = np.linalg.solve(square.T, rhs)
+        solved = bool(np.all(np.isfinite(bottom)))
     except np.linalg.LinAlgError:
         solved = False
     if not solved:
         bordered = np.vstack([balance.T, normalisation])
         bordered_rhs = np.zeros(num_modes + 1)
         bordered_rhs[-1] = 1.0
-        top = np.linalg.lstsq(bordered, bordered_rhs, rcond=None)[0]
+        bottom = np.linalg.lstsq(bordered, bordered_rhs, rcond=None)[0]
 
     # levels[j] = v_j for j = 0 .. N + 1.
     levels = np.empty((num_servers + 2, num_modes))
-    levels[num_servers] = top
-    levels[num_servers + 1] = top @ rate
-    for level in range(num_servers, 0, -1):
-        levels[level - 1] = levels[level] @ reducers[level - 1]
+    levels[0] = bottom
+    for level, ratio in enumerate(ratios):
+        levels[level + 1] = levels[level] @ ratio
 
     flows = levels[:-1] @ local - levels[:-1] * service[:-1] + levels[1:] * service[1:]
     flows[1:] += arrival_rate * levels[:-2]
-    mass_error = levels[:num_servers].sum() + top @ tail_mass - 1.0
+    mass_error = levels[:num_servers].sum() + levels[num_servers] @ tail_mass - 1.0
     residual = float(np.hypot(np.linalg.norm(flows), abs(mass_error)))
     return levels[:-1], residual, tail_factor
 
 
 @single_threaded_blas()
-def solve_spectral(model: UnreliableQueueModel) -> SpectralSolution:
-    """Solve an :class:`UnreliableQueueModel` exactly by spectral expansion.
+def solve_spectral(model: "ChainModel") -> SpectralSolution:
+    """Solve the paper's pool or a scenario chain exactly by spectral expansion.
 
     Raises
     ------
     UnstableQueueError
         If the stability condition (paper Eq. 11) is violated.
     ParameterError
-        If the period distributions are not exponential/hyperexponential.
+        If the period distributions are not exponential/hyperexponential, or
+        the chain has more modes than ``DENSE_MODE_LIMIT`` (counted, not built).
     SolverError
         If the logarithmic reduction does not converge, an inversion meets a
         singular matrix, or the rate matrix's residual, the boundary system's
-        residual or a negative probability indicates numerical failure.
+        residual, the flow balance or a negative probability indicates
+        numerical failure.
     """
+    if model.num_modes > DENSE_MODE_LIMIT:  # also validates the period distributions
+        raise ParameterError(
+            f"refusing to solve {model.num_modes} modes with dense matrices "
+            f"(limit {DENSE_MODE_LIMIT}); use the 'geometric' or 'ctmc' solver instead"
+        )
     model.require_stable()
-    environment = model.environment  # validates the period distributions
-    matrices = ModulatedQueueMatrices(
-        environment=environment,
-        arrival_rate=model.arrival_rate,
-        service_rate=model.service_rate,
-    )
+    matrices = ModulatedQueueMatrices(model)
     q0, q1, q2 = matrices.q0, matrices.q1, matrices.q2
     rate, steps = rate_matrix(q0, q1, q2)
     rate_residual = float(np.max(np.abs(q0 + rate @ (q1 + rate @ q2))))
-    registry = numerics_registry()
-    registry.histogram(
+    numerics_registry().histogram(
         "repro_spectral_reduction_steps",
         "Logarithmic-reduction steps the spectral rate matrix R needed, per solve.",
         buckets=SWEEP_COUNT_BUCKETS,
     ).observe(steps)
-    registry.histogram(
+    _check(
+        "rate matrix residual",
+        rate_residual,
+        _RATE_RESIDUAL_TOLERANCE,
         "repro_spectral_rate_residual",
         "Residual max|Q0 + R Q1 + R^2 Q2| of the spectral rate matrix, per solve.",
-        buckets=RESIDUAL_BUCKETS,
-    ).observe(rate_residual)
-    if rate_residual > _RATE_RESIDUAL_TOLERANCE:
-        raise SolverError(
-            f"rate matrix residual {rate_residual:.3g} exceeds tolerance; "
-            "the model is too ill-conditioned for the exact solution "
-            "(consider the geometric approximation)"
-        )
+    )
 
     levels, residual_norm, tail_factor = _solve_boundary_system(matrices, rate)
-    registry.histogram(
+    _check(
+        "boundary system residual",
+        residual_norm,
+        _BOUNDARY_RESIDUAL_TOLERANCE,
         "repro_spectral_boundary_residual",
         "Residual 2-norm of the spectral boundary equations, per solve.",
-        buckets=RESIDUAL_BUCKETS,
-    ).observe(residual_norm)
-    if residual_norm > _BOUNDARY_RESIDUAL_TOLERANCE:
-        raise SolverError(
-            f"boundary system residual {residual_norm:.3g} exceeds tolerance; "
-            "the model is too ill-conditioned for the exact solution "
-            "(consider the geometric approximation)"
-        )
+    )
 
     if float(np.min(levels)) < -_NEGATIVITY_TOLERANCE:
         raise SolverError(
@@ -421,7 +424,7 @@ def solve_spectral(model: UnreliableQueueModel) -> SpectralSolution:
             f"(min {float(np.min(levels)):.3g}); the solution is unreliable"
         )
 
-    return SpectralSolution(
+    solution = SpectralSolution(
         model=model,
         matrices=matrices,
         rate_matrix=rate,
@@ -430,3 +433,21 @@ def solve_spectral(model: UnreliableQueueModel) -> SpectralSolution:
         boundary_residual=residual_norm,
         rate_residual=rate_residual,
     )
+    _check(
+        "relative flow-balance error",
+        abs(solution.throughput - model.arrival_rate) / model.arrival_rate,
+        _FLOW_BALANCE_TOLERANCE,
+        "repro_spectral_flow_residual",
+        "Relative flow-balance error |sum_j v_j C_j 1 - lambda| / lambda, per solve.",
+    )
+    return solution
+
+
+def _check(what: str, value: float, tolerance: float, metric: str, description: str) -> None:
+    """Record one per-solve residual and raise :class:`SolverError` above ``tolerance``."""
+    numerics_registry().histogram(metric, description, buckets=RESIDUAL_BUCKETS).observe(value)
+    if value > tolerance:
+        raise SolverError(
+            f"{what} {value:.3g} exceeds tolerance; the model is too ill-conditioned "
+            "for the exact solution (consider the geometric approximation)"
+        )

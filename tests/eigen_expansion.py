@@ -469,7 +469,7 @@ def decay_rate_from_eigensystem(matrices: ModulatedQueueMatrices) -> float:
 
 def polynomial_matrices(model: UnreliableQueueModel) -> ModulatedQueueMatrices:
     """The QBD matrices of a model, as ``solve_spectral`` builds them."""
-    return ModulatedQueueMatrices(model.environment, model.arrival_rate, model.service_rate)
+    return ModulatedQueueMatrices(model)
 
 
 def geometric_mode_vector(matrices: ModulatedQueueMatrices, decay: float) -> np.ndarray:

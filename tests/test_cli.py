@@ -191,7 +191,7 @@ class TestScenarioCommand:
         assert arguments.command == "scenario"
         assert arguments.preset == "two-speed-cluster"
         assert arguments.repair_capacity == 1
-        assert arguments.solvers == "ctmc,simulate"
+        assert arguments.solvers == "spectral,ctmc,simulate"
 
     def test_list_prints_gallery(self, capsys):
         exit_code = main(["scenario", "--list"])
@@ -201,12 +201,19 @@ class TestScenarioCommand:
             assert name in output
 
     def test_preset_solved_via_ctmc(self, capsys):
-        exit_code = main(["scenario", "--preset", "single-repairman"])
+        exit_code = main(["scenario", "--preset", "single-repairman", "--solvers", "ctmc"])
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "repair capacity R" in output
         assert "Solution (ctmc)" in output
         assert "mean jobs L" in output
+
+    def test_preset_solved_exactly_by_default(self, capsys):
+        exit_code = main(["scenario", "--preset", "repair-starved-two-speed"])
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert "Solution (spectral)" in output
+        assert "decay_rate" in output
 
     def test_overrides_change_the_model(self, capsys):
         exit_code = main(

@@ -8,12 +8,15 @@ two implementations share no code beyond the model definition, so agreement
 over a random family of configurations is strong evidence that both the
 product-mode generator and the event engine implement the same process.
 
-``derandomize=True`` pins the drawn examples, so the test is deterministic
-across runs and CI machines (the simulator is seeded explicitly).
+The same draws pin the exact spectral solution of each chain against its
+truncated CTMC.  ``derandomize=True`` pins the drawn examples, so the tests
+are deterministic across runs and CI machines (the simulator is seeded
+explicitly).
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -79,3 +82,19 @@ def test_ctmc_agrees_with_simulation(scenario: ScenarioModel):
         f"CTMC util={solution.utilisation:.4f} vs simulation "
         f"{estimate.utilisation:.4f} for {scenario!r}"
     )
+
+
+@given(scenario=stable_scenarios())
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_spectral_agrees_with_ctmc(scenario: ScenarioModel):
+    """The exact solve of the same chain matches its truncation."""
+    solution = scenario.solve_spectral()
+    reference = scenario.solve_ctmc()
+    assert reference.truncation_mass() < 1e-9
+    assert solution.mean_queue_length == pytest.approx(reference.mean_queue_length, rel=1e-7)
+    assert solution.throughput == pytest.approx(scenario.arrival_rate, rel=1e-9)

@@ -19,7 +19,7 @@ import pytest
 from repro import cli
 from repro.cli import main
 from repro.query import MODEL_FIELDS, parse_request
-from repro.service import BadRequestError, ServiceError, parse_solve_request
+from repro.service import BadRequestError, ServiceError, parse_body, parse_solve_request
 from repro.solvers import solution_cache_key
 
 #: A valid steady-state model object, for rows that break something else.
@@ -306,6 +306,27 @@ def test_top_level_repair_capacity_points_to_presets():
 def test_distribution_errors_are_bad_requests():
     with pytest.raises(BadRequestError, match="invalid model"):
         parse_solve_request({"model": {**_MODEL, "operative_mean": 1e-320}})
+
+
+#: A JSON integer with no finite float value.
+_HUGE = b"1" + b"0" * 400
+
+
+@pytest.mark.parametrize(
+    "body, field",
+    [
+        (b'{"model": {"servers": 4, "arrival_rate": %s}}' % _HUGE, "'arrival_rate'"),
+        (
+            b'{"query": "scenario", "preset": "single-repairman", "arrival_rate": %s}' % _HUGE,
+            "'arrival_rate'",
+        ),
+        (b'{"model": {"servers": %s, "arrival_rate": 2.0}}' % _HUGE, "'servers'"),
+    ],
+    ids=["model-arrival-rate", "preset-arrival-rate", "servers"],
+)
+def test_integers_beyond_the_largest_float_are_bad_requests(body, field):
+    with pytest.raises(BadRequestError, match=f"field {field} must be finite"):
+        parse_solve_request(parse_body(body))
 
 
 @pytest.mark.parametrize("module", ["repro.query", "repro.cli"])

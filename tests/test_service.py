@@ -72,7 +72,7 @@ class TestParseSolveRequest:
     def test_scenario_preset(self):
         request = parse_solve_request({"query": "scenario", "preset": "single-repairman"})
         assert isinstance(request.model, ScenarioModel)
-        assert request.policy.order == ("ctmc", "simulate")
+        assert request.policy.order == ("spectral", "ctmc", "simulate")
 
     def test_scenario_overrides(self):
         request = parse_solve_request(

@@ -785,13 +785,24 @@ class TestBoundedCache:
         assert cache.stats()["solves"] == 1
 
 
+def _deterministic_operative(preset: str):
+    """A preset whose first group has deterministic operative periods.
+
+    Every scenario is beyond 'geometric', and such a one beyond 'spectral'
+    as well.
+    """
+    from repro.scenarios import scenario_preset
+
+    scenario = scenario_preset(preset)
+    group = scenario.groups[0]
+    return scenario.with_group(group.name, operative=Deterministic(value=group.operative.mean))
+
+
 class TestFallbackExhaustion:
     """When every solver in a chain is unsupported, the error names each one."""
 
     def test_scenario_on_homogeneous_only_chain_names_every_skipped_solver(self):
-        from repro.scenarios import scenario_preset
-
-        scenario = scenario_preset("single-repairman")
+        scenario = _deterministic_operative("single-repairman")
         outcome = evaluate(scenario, SolverPolicy(order=("spectral", "geometric")))
         assert outcome.solver is None
         assert outcome.stable is True
@@ -799,15 +810,15 @@ class TestFallbackExhaustion:
         # One diagnostic per skipped solver, each naming the solver and the
         # reason it was skipped.
         for name in ("spectral", "geometric"):
-            assert f"{name}:" in outcome.error
-            assert f"the {name!r} solver handles only the homogeneous model" in outcome.error
-        assert outcome.error.count("solver handles only") == 2  # one per skipped solver
+            assert f"{name}: the {name!r} solver" in outcome.error
+        assert "requires exponential or hyperexponential period distributions" in outcome.error
+        assert "the 'geometric' solver handles only the homogeneous model" in outcome.error
+        assert outcome.error.count(" solver ") == 2  # one per skipped solver
 
     def test_exhaustion_error_reaches_sweep_rows_and_metric_lookups(self):
-        from repro.scenarios import scenario_preset
         from repro.sweeps import SweepResultSet  # noqa: F401 - import guard
 
-        scenario = scenario_preset("two-speed-cluster")
+        scenario = _deterministic_operative("two-speed-cluster")
         spec = SweepSpec(
             base_model=scenario,
             axes=[("arrival_rate", (1.0,))],

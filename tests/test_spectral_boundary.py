@@ -22,10 +22,11 @@ from dense_boundary import dense_residual, rate_tail
 from eigen_expansion import decay_rate_bisection, polynomial_matrices, solve_expansion
 
 from repro.blas import single_threaded_blas
-from repro.exceptions import SolverError
+from repro.exceptions import ParameterError, SolverError
 from repro.experiments import figure5, figure8, parameters
 from repro.obs import numerics_registry
 from repro.obs.metrics import RESIDUAL_BUCKETS, SWEEP_COUNT_BUCKETS, Histogram
+from repro.query import parse_request
 from repro.queueing import UnreliableQueueModel, sun_fitted_model
 from repro.solvers import solve
 from repro.spectral import ModulatedQueueMatrices, rate_matrix, solve_geometric, solve_spectral
@@ -240,9 +241,7 @@ def test_every_solve_records_its_rate_residual_and_reduction_steps():
 
 def test_inverse_matches_numpy_on_the_solve_matrices(monkeypatch):
     model = figure5.base_model(8.5, 15)
-    matrices = ModulatedQueueMatrices(
-        model.environment, arrival_rate=model.arrival_rate, service_rate=model.service_rate
-    )
+    matrices = ModulatedQueueMatrices(model)
     schurs: list[np.ndarray] = []
 
     def capture(matrix):
@@ -275,9 +274,14 @@ def test_solves_need_no_numpy_inverse(monkeypatch):
     assert solve_geometric(model).mean_queue_length == approximate
 
 
-def test_singular_pivot_fails_over_to_the_next_solver():
-    """At lambda = 1e-20 the first ``-S_0 = D^A - A + lambda I`` is singular in floating point."""
-    model = sun_fitted_model(4, 1e-20)
+def test_singular_pivot_fails_over_to_the_next_solver(monkeypatch):
+    """A singular pivot in the level reduction falls through to the next solver.
+
+    No model reaches one since the reduction runs top-down, so every
+    inversion of the reduction is handed a zero matrix instead.
+    """
+    model = sun_fitted_model(5, 3.5)
+    monkeypatch.setattr(spectral_solution, "invert", lambda matrix: invert(np.zeros_like(matrix)))
     with pytest.raises(SolverError, match="singular"):
         solve_spectral(model)
 
@@ -285,3 +289,71 @@ def test_singular_pivot_fails_over_to_the_next_solver():
     outcome = solve(model, ("spectral", "geometric"), cache=False)
     assert outcome.solver == "geometric"
     assert _attempts("failed") == failed + 1
+
+
+def test_an_oversize_chain_is_refused_before_its_modes_are_enumerated():
+    """At N = 300 the Sun fit has 45,451 modes: ``B = lambda I`` alone would take 15.4 GiB."""
+    model = sun_fitted_model(300, 150.0)
+    with pytest.raises(ParameterError, match="45451 modes"):
+        solve_spectral(model)
+    assert "environment" not in model.__dict__
+
+
+def test_an_oversize_chain_is_answered_by_the_next_solver():
+    failed = _attempts("failed")
+    outcome = solve(sun_fitted_model(300, 150.0), cache=False)
+    assert outcome.solver == "geometric"
+    assert _attempts("failed") == failed + 1
+
+
+#: Arrival rates from the lightest load a float can carry up to 1e-9.
+LIGHT_ARRIVAL_RATES = (1e-300, 1e-20, 1e-16, 1e-15, 1e-12, 1e-9)
+
+#: Effective loads from light to close to saturation.
+LOADS = (0.01, 0.1, 0.5, 0.9, 0.99, 0.999)
+
+
+@pytest.mark.parametrize("servers", range(1, 16))
+def test_flow_balance_holds_from_light_load_to_saturation(servers):
+    """Departures balance arrivals, ``sum_j v_j C_j 1 = mu E[busy] = lambda``, at any load."""
+    base = sun_fitted_model(servers, 1.0)
+    rates = LIGHT_ARRIVAL_RATES + tuple(load * base.mean_operative_servers for load in LOADS)
+    for rate in rates:
+        model = base.with_arrival_rate(rate)
+        solution = solve_spectral(model)
+        busy = model.service_rate * solution.mean_jobs_in_service
+        assert abs(solution.throughput - rate) <= 1e-12 * rate, rate
+        assert abs(busy - rate) <= 1e-12 * rate, rate
+
+
+def _service_model(**fields: float) -> UnreliableQueueModel:
+    """The model ``POST /solve`` builds from a ``model`` object."""
+    return parse_request({"model": fields}).model
+
+
+#: The light-load answers that lost flow balance with the bottom-up reduction:
+#: W = 0.0397 for the service's default model, relative errors of 8.9e-8 to
+#: 0.19 on the Sun fit at N = 4 and then a singular pivot, and W = 0 at
+#: N = 3, lambda = 1e-300 (the exponential model answered by another solver).
+LIGHT_LOAD_CASES = {
+    "service-default-N4-1e-20": _service_model(servers=4, arrival_rate=1e-20),
+    **{
+        f"sun-N4-{rate:g}": sun_fitted_model(4, rate)
+        for rate in (1e-9, 1e-12, 1e-15, 1e-16, 1e-20)
+    },
+    "sun-N3-1e-300": sun_fitted_model(3, 1e-300),
+    "exponential-N3-1e-300": _service_model(
+        servers=3, arrival_rate=1e-300, operative_mean=10, operative_scv=1, repair_mean=1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIGHT_LOAD_CASES))
+def test_light_load_is_answered_exactly(name):
+    """A lone job is served at rate ``mu`` or waits for a repair: ``W >= 1 / mu``."""
+    model = LIGHT_LOAD_CASES[name]
+    outcome = solve(model, cache=False)
+    assert outcome.solver == "spectral"
+    response_time = outcome.metrics["mean_response_time"]
+    assert response_time >= model.mean_service_time
+    assert response_time == pytest.approx(model.mean_service_time, rel=1e-2)

@@ -19,14 +19,15 @@ from eigen_expansion import (
 
 from repro.distributions import Exponential, HyperExponential
 from repro.exceptions import SolverError
-from repro.markov import ScenarioEnvironment
+from repro.queueing import UnreliableQueueModel
 from repro.spectral import ModulatedQueueMatrices
 
 
 def _matrices(num_servers=2, arrival_rate=1.0) -> ModulatedQueueMatrices:
     operative = HyperExponential(weights=[0.6, 0.4], rates=[0.2, 0.02])
-    environment = ScenarioEnvironment([(num_servers, operative, Exponential(rate=2.0))])
-    return ModulatedQueueMatrices(environment, arrival_rate=arrival_rate, service_rate=1.0)
+    return ModulatedQueueMatrices(
+        UnreliableQueueModel(num_servers, arrival_rate, 1.0, operative, Exponential(rate=2.0))
+    )
 
 
 class TestQuadraticEigenproblem:

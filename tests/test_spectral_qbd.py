@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from repro.distributions import Exponential, HyperExponential
-from repro.markov import ScenarioEnvironment
+from repro.queueing import UnreliableQueueModel
 from repro.spectral import ModulatedQueueMatrices
 
 
 @pytest.fixture
 def example_matrices() -> ModulatedQueueMatrices:
-    environment = ScenarioEnvironment(
-        [(2, HyperExponential(weights=[0.6, 0.4], rates=[0.5, 0.05]), Exponential(rate=2.0))]
-    )
-    return ModulatedQueueMatrices(environment, arrival_rate=1.2, service_rate=1.0)
+    operative = HyperExponential(weights=[0.6, 0.4], rates=[0.5, 0.05])
+    model = UnreliableQueueModel(2, 1.2, 1.0, operative, Exponential(rate=2.0))
+    return ModulatedQueueMatrices(model)
 
 
 class TestMatrices:

@@ -344,7 +344,7 @@ class TestScenarioSweeps:
             name="scenario-crew",
         )
         results = SweepRunner().run(spec)
-        assert {row.solver for row in results} == {"ctmc"}
+        assert {row.solver for row in results} == {"spectral"}
         crew_of_one = results.find(repair_capacity=1)
         crew_of_two = results.find(repair_capacity=2)
         assert crew_of_one.metric("mean_queue_length") >= crew_of_two.metric(

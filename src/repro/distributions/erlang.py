@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 from collections.abc import Sequence
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from .._validation import check_positive, check_positive_int
 from .base import Distribution
@@ -71,14 +71,24 @@ class Erlang(Distribution):
     # Distribution interface
     # ------------------------------------------------------------------ #
 
+    # The gamma density and distribution function are evaluated as
+    # ``scipy.stats.gamma`` evaluates them (the argument divided by the scale
+    # ``1 / rate``), so the values are the same without importing
+    # ``scipy.stats``.
+
     def pdf(self, x: float | Sequence[float]) -> np.ndarray | float:
-        x_arr = np.asarray(x, dtype=float)
-        result = scipy.stats.gamma.pdf(x_arr, a=self._shape, scale=1.0 / self._rate)
+        scale = 1.0 / self._rate
+        y = np.asarray(x, dtype=float) / scale
+        with np.errstate(invalid="ignore"):  # x = inf gives nan, as in scipy.stats
+            log_density = scipy.special.xlogy(self._shape - 1.0, y) - y
+        density = np.exp(log_density - scipy.special.gammaln(self._shape)) / scale
+        result = np.where(y >= 0.0, density, np.where(np.isnan(y), np.nan, 0.0))
         return result if np.ndim(x) else float(result)
 
     def cdf(self, x: float | Sequence[float]) -> np.ndarray | float:
-        x_arr = np.asarray(x, dtype=float)
-        result = scipy.stats.gamma.cdf(x_arr, a=self._shape, scale=1.0 / self._rate)
+        y = np.asarray(x, dtype=float) / (1.0 / self._rate)
+        probability = scipy.special.gammainc(self._shape, y)
+        result = np.where(y > 0.0, probability, np.where(np.isnan(y), np.nan, 0.0))
         return result if np.ndim(x) else float(result)
 
     def moment(self, k: int) -> float:

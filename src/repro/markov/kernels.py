@@ -34,15 +34,25 @@ iteration alternates cheap structured smoothing with an exact enforcement of
 that invariant:
 
 1. **level sweep** — solve the block-tridiagonal system that couples levels
-   within each mode (a fill-free LU after a mode-major permutation);
+   within each mode (a fill-free LU of the system indexed mode-major; the
+   residual moves between level-major and mode-major order by a reshape and
+   transpose of the ``(level, mode)`` grid);
 2. **mode sweep** — solve the block-diagonal system that couples modes
-   within each level;
+   within each level.  It is factored once, in SuperLU's symmetric
+   minimum-degree order of ``A^T + A`` (``MMD_AT_PLUS_A``): on the 81k-state
+   K = 3 lumped chain (61 levels x 1,331 modes) that fills 6.0M entries where
+   the default COLAMD column order fills 11.2M, and a mode solve, which reads
+   the whole factor, takes about a third less time;
 3. **disaggregation** — rescale each mode's column so its marginal matches
    the exact environment stationary distribution.
 
 Steps 1–2 remove error that varies quickly in either direction; step 3
 removes the slow inter-mode error (the component a Krylov method with the
 same preconditioners stalls on), so the combination contracts geometrically.
+Each sweep makes two matrix-vector products: the residual that checks
+convergence also starts the next sweep's level solve.
+``tests/colamd_iad.py`` keeps the COLAMD-factored sweep with three products
+per sweep as the test oracle: both take the same sweeps to the same vector.
 """
 
 from __future__ import annotations
@@ -327,28 +337,29 @@ def _steady_state_iad(
     coo = transposed.tocoo()
 
     # Level-direction system: diagonal plus the +-num_modes offset diagonals
-    # (arrivals/departures).  After a mode-major permutation it is
-    # block-diagonal with one tridiagonal block per mode, so the LU is
-    # fill-free.
+    # (arrivals/departures).  Indexed mode-major (``mode * num_levels +
+    # level``) it is block-diagonal with one tridiagonal block per mode, so
+    # the LU is fill-free.
     difference = coo.row - coo.col
     level_part = (np.abs(difference) <= num_modes) & (difference % num_modes == 0)
-    level_matrix = scipy.sparse.coo_matrix(
-        (coo.data[level_part], (coo.row[level_part], coo.col[level_part])), shape=(size, size)
-    )
     indices = np.arange(size)
-    permutation = (indices % num_modes) * num_levels + indices // num_modes
-    permute = scipy.sparse.csr_matrix(
-        (np.ones(size), (permutation, indices)), shape=(size, size)
+    mode_major = (indices % num_modes) * num_levels + indices // num_modes
+    level_matrix = scipy.sparse.csc_matrix(
+        (coo.data[level_part], (mode_major[coo.row[level_part]], mode_major[coo.col[level_part]])),
+        shape=(size, size),
     )
-    level_factor = scipy.sparse.linalg.splu((permute @ level_matrix @ permute.T).tocsc())
+    level_factor = scipy.sparse.linalg.splu(level_matrix)
 
     # Mode-direction system: all transitions within one level (plus the
-    # diagonal); block-diagonal in the natural level-major order.
+    # diagonal); block-diagonal in the natural level-major order.  A
+    # symmetric minimum-degree order of ``A^T + A`` fills about half as much
+    # as the default COLAMD column order on many-mode chains, and every
+    # sweep's mode solve reads the whole factor.
     mode_part = (coo.row // num_modes) == (coo.col // num_modes)
-    mode_matrix = scipy.sparse.coo_matrix(
+    mode_matrix = scipy.sparse.csc_matrix(
         (coo.data[mode_part], (coo.row[mode_part], coo.col[mode_part])), shape=(size, size)
-    ).tocsc()
-    mode_factor = scipy.sparse.linalg.splu(mode_matrix)
+    )
+    mode_factor = scipy.sparse.linalg.splu(mode_matrix, permc_spec="MMD_AT_PLUS_A")
 
     registry = numerics_registry()
     marginals = structure.mode_marginals
@@ -362,11 +373,13 @@ def _steady_state_iad(
         vector = np.tile(marginals / num_levels, num_levels)
 
     positive = marginals > 0.0
+    residual = transposed @ vector
     for sweep in range(1, max_sweeps + 1):
-        residual = transposed @ vector
-        vector = vector - (permute.T @ level_factor.solve(permute @ residual))
-        residual = transposed @ vector
-        vector = vector - mode_factor.solve(residual)
+        # The level solve runs mode-major: transpose the (level, mode) grid in
+        # and back out.
+        correction = level_factor.solve(residual.reshape(num_levels, num_modes).T.ravel())
+        vector = vector - correction.reshape(num_modes, num_levels).T.ravel()
+        vector = vector - mode_factor.solve(transposed @ vector)
         vector = np.clip(vector, 0.0, None)
         current = vector.reshape(num_levels, num_modes).sum(axis=0)
         scale = np.where(positive, marginals / np.maximum(current, 1e-300), 0.0)
@@ -375,7 +388,9 @@ def _steady_state_iad(
         if total <= 0.0:  # pragma: no cover - defensive
             raise SolverError("aggregation-disaggregation iterate lost all mass")
         vector = vector / total
-        residual_norm = float(np.max(np.abs(transposed @ vector)))
+        # The convergence check's residual starts the next sweep.
+        residual = transposed @ vector
+        residual_norm = float(np.max(np.abs(residual)))
         if residual_norm < tol:
             registry.histogram(
                 "repro_iad_sweeps",

@@ -14,7 +14,7 @@ import bisect
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from ..exceptions import SimulationError
 
@@ -98,7 +98,9 @@ def batch_means_interval(
         raise SimulationError("confidence must lie strictly between 0 and 1")
     mean = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / np.sqrt(values.size))
-    quantile = float(scipy.stats.t.ppf(0.5 + confidence / 2.0, df=values.size - 1))
+    # The Student-t quantile (what ``scipy.stats.t.ppf`` computes, without
+    # importing ``scipy.stats``).
+    quantile = float(scipy.special.stdtrit(values.size - 1, 0.5 + confidence / 2.0))
     return ConfidenceInterval(
         estimate=mean,
         half_width=quantile * std_error,

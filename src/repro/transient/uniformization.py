@@ -32,6 +32,18 @@ the DTMC iterates: once ``||v_{k+1} - v_k||_1`` falls below a threshold the
 remaining Poisson mass of every time point is assigned to the current
 iterate, which caps the cost of large-``t`` evaluations at the mixing time of
 the uniformized chain rather than at ``Lambda t``.
+
+The sweep runs a block of steps at a time (at most 256 steps, with the
+block's buffers within 16 MiB).  The Poisson weights do not depend on the
+iterates, so each block first advances every time point's weights by
+cumulative sums and products seeded with the running values: the same
+arithmetic as one step at a time, so each time's switch out of log space,
+its accumulated mass and its last step are unchanged.  The block's DTMC
+steps then fill one buffer, the first stationary step is found within it,
+and one matrix product (weights x iterates) mixes the block into the result.
+Per step this leaves the sparse matrix-vector product and a copy.
+``tests/stepwise_uniformization.py`` keeps the step-by-step loop as the
+test oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.stats
+import scipy.special
 
 from ..exceptions import ParameterError, SolverError
 from ..markov.kernels import UniformizedOperator
@@ -55,6 +67,15 @@ DEFAULT_STATIONARY_TOLERANCE = 1e-13
 
 #: Hard cap on the number of uniformization steps (runaway-loop backstop).
 MAX_UNIFORMIZATION_STEPS = 20_000_000
+
+#: Most steps one block of the sweep runs, and most bytes its two buffers
+#: (the iterates and their changes) may take together.
+_BLOCK_STEPS = 256
+_BLOCK_BYTES = 16 * 2**20
+
+#: A time point whose Poisson seed underflows stays in log space until its
+#: log weight rises above this floor.
+_LOG_SPACE_FLOOR = -650.0
 
 
 @dataclass(frozen=True)
@@ -118,15 +139,23 @@ def check_times(times: Sequence[float]) -> None:
 
 
 def poisson_truncation_point(mean: float, tol: float) -> int:
-    """The smallest ``K`` with Poisson tail ``P(X > K) <= tol`` for mean ``mean``."""
+    """The smallest ``K`` with Poisson tail ``P(X > K) <= tol`` for mean ``mean``.
+
+    An integer bisection on the tail ``pdtrc(K, mean)``: ``heavy`` always has
+    a tail above ``tol`` and ``light`` one at or below it.
+    """
     if mean <= 0.0:
         return 0
-    point = int(scipy.stats.poisson.isf(tol, mean))
-    # isf returns the smallest k with sf(k) <= tol already, but guard against
-    # boundary rounding by nudging upward while the tail is still too heavy.
-    while scipy.stats.poisson.sf(point, mean) > tol:  # pragma: no cover - rare
-        point += 1
-    return point
+    heavy, light = -1, max(1, math.ceil(mean))
+    while scipy.special.pdtrc(light, mean) > tol:
+        heavy, light = light, 2 * light
+    while light - heavy > 1:
+        middle = (heavy + light) // 2
+        if scipy.special.pdtrc(middle, mean) > tol:
+            heavy = middle
+        else:
+            light = middle
+    return light
 
 
 def transient_distributions(
@@ -206,39 +235,63 @@ def transient_distributions(
     linear = weights >= np.finfo(float).tiny
     weights[~linear] = 0.0
     accumulated = weights.copy()
-    active = accumulated < 1.0 - tol
+    threshold = 1.0 - tol
+    active = accumulated < threshold
 
-    vector = start.copy()
     for index in np.nonzero(weights)[0]:
-        result[index] += weights[index] * vector
+        result[index] += weights[index] * start
 
     steps = 0
     stationary_step: int | None = None
-    # One errstate context around the whole sweep (entering one per step is
-    # measurable overhead at thousands of steps); the DTMC step itself goes
-    # through the kernel operator, whose cached CSR transpose turns ``v P``
-    # into a single matrix-vector product.
+    # The sweep runs in blocks.  The weights do not depend on the iterates,
+    # so a block's weights, accumulated masses and stopping steps are known
+    # before its DTMC steps run; the steps then fill one buffer of iterates
+    # (row 0 holds the previous block's last iterate), and one matrix product
+    # mixes the whole block into the result.  The buffers are allocated once:
+    # a fresh block-sized temporary per block costs more than its arithmetic.
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (2 * start.itemsize * operator.size) - 1))
+    iterates = np.empty((min(block, horizon) + 1, operator.size))
+    changes = np.empty((iterates.shape[0] - 1, operator.size))
+    iterates[0] = start
+    step = operator.step
     with np.errstate(under="ignore", invalid="ignore"):
-        for k in range(1, horizon + 1):
-            if not active.any():
-                break
-            previous = vector
-            vector = operator.step(previous)
-            steps = k
-            log_weights += log_means - np.log(k)
-            weights[linear] *= means[linear] / k
-            emerging = active & ~linear & (log_weights > -650.0)
-            if emerging.any():
-                weights[emerging] = np.exp(log_weights[emerging])
-                linear |= emerging
-            contributing = active & (weights > 0.0)
-            for index in np.nonzero(contributing)[0]:
-                result[index] += weights[index] * vector
-            accumulated += np.where(active, weights, 0.0)
-            active &= accumulated < 1.0 - tol
+        while steps < horizon and active.any():
+            ks = np.arange(steps + 1, steps + 1 + min(block, horizon - steps))
+            log_block, weight_block = _advance_weights(
+                ks, means, log_means, log_weights, weights, linear
+            )
+            # live[:, j]: after j steps of the block the time's accumulated
+            # mass is still below 1 - tol.  A time mixes in every step it
+            # starts live.
+            mass = np.cumsum(np.column_stack([accumulated, weight_block]), axis=1)
+            live = active[:, None] & (mass < threshold)
+            mixing = np.where(live[:, :-1], weight_block, 0.0)
+            # The sweep ends with the first step that leaves no time live.
+            finished = np.nonzero(~live[:, 1:].any(axis=0))[0]
+            count = int(finished[0]) + 1 if finished.size else ks.size
 
-            if stationary_tol > 0.0 and float(np.abs(vector - previous).sum()) < stationary_tol:
-                stationary_step = k
+            for row in range(1, count + 1):
+                iterates[row] = step(iterates[row - 1])
+            if stationary_tol > 0.0:
+                change = changes[:count]
+                np.subtract(iterates[1 : count + 1], iterates[:count], out=change)
+                np.abs(change, out=change)
+                still = np.nonzero(change.sum(axis=1) < stationary_tol)[0]
+                if still.size:
+                    count = int(still[0]) + 1
+                    stationary_step = steps + count
+
+            result += mixing[:, :count] @ iterates[1 : count + 1]
+            accumulated = np.cumsum(
+                np.column_stack([accumulated, mixing[:, :count]]), axis=1
+            )[:, -1]
+            active = live[:, count]
+            linear = linear | (log_block[:, :count] > _LOG_SPACE_FLOOR).any(axis=1)
+            log_weights = log_block[:, count - 1]
+            weights = weight_block[:, count - 1]
+            steps += count
+            iterates[0] = iterates[count]
+            if stationary_step is not None:
                 break
 
     # Close the series: assign each time point's remaining Poisson mass to the
@@ -246,7 +299,38 @@ def transient_distributions(
     # otherwise), so every returned row sums to one.
     remaining = 1.0 - accumulated
     for index in np.nonzero(remaining > 0.0)[0]:
-        result[index] += remaining[index] * vector
+        result[index] += remaining[index] * iterates[0]
 
     result = np.clip(result, 0.0, None)
     return UniformizationResult(requested, result, rate, steps, stationary_step)
+
+
+def _advance_weights(
+    ks: np.ndarray,
+    means: np.ndarray,
+    log_means: np.ndarray,
+    log_weights: np.ndarray,
+    weights: np.ndarray,
+    linear: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every time point's log weight and weight after each of the steps ``ks``.
+
+    Both arrays have shape ``(len(means), len(ks))``.  Cumulative sums and
+    products seeded with the running values repeat the one-step recurrences
+    operation for operation, so every entry, and with it each time's switch
+    from log space to the linear recurrence, is what a loop over the steps
+    computes.
+    """
+    log_steps = np.column_stack([log_weights, log_means[:, None] - np.log(ks)])
+    log_block = np.cumsum(log_steps, axis=1)[:, 1:]
+    factors = np.column_stack([weights, means[:, None] / ks])
+    weight_block = np.cumprod(factors, axis=1)[:, 1:]
+    for index in np.nonzero(~linear)[0]:
+        weight_block[index] = 0.0
+        emerged = np.nonzero(log_block[index] > _LOG_SPACE_FLOOR)[0]
+        if emerged.size:
+            first = int(emerged[0])
+            factors[index, first + 1] = np.exp(log_block[index, first])
+            weight_block[index, first:] = np.cumprod(factors[index, first + 1 :])
+    return log_block, weight_block
+

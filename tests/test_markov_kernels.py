@@ -3,8 +3,9 @@
 The integration suites exercise the kernels through the solvers; these tests
 pin the kernel contracts directly: the one-pass level x mode assembly against
 a hand-built dense generator, the direct and aggregation-disaggregation
-steady-state paths against each other, and the uniformized step operator
-against an explicit ``v @ P`` product.
+steady-state paths against each other, the aggregation-disaggregation sweep
+against the COLAMD-factored sweep it replaced (``colamd_iad.py``), and the
+uniformized step operator against an explicit ``v @ P`` product.
 """
 
 from __future__ import annotations
@@ -12,8 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse
+from colamd_iad import steady_state_iad_colamd
 
+from repro.distributions import Exponential
 from repro.exceptions import ParameterError, SolverError
+from repro.scenarios import ScenarioModel, ServerGroup, preset_names, scenario_preset
+from repro.scenarios.ctmc import build_truncated_generator, chain_structure
 from repro.markov.kernels import (
     steady_state_from_generator,
     LevelModeStructure,
@@ -168,6 +173,67 @@ class TestSteadyStateCsr:
     def test_rejects_non_square_generator(self):
         with pytest.raises(SolverError, match="square"):
             steady_state_csr(np.zeros((2, 3)))
+
+
+def _lumped_chain(level: int = 30):
+    """A K = 3 lumped chain (groups of 4, 125 modes) truncated at ``level``."""
+    groups = tuple(
+        ServerGroup(
+            name=name,
+            size=4,
+            service_rate=service,
+            operative=Exponential(rate=failure),
+            inoperative=Exponential(rate=repair),
+        )
+        for name, service, failure, repair in (
+            ("fast", 2.0, 0.05, 1.0),
+            ("mid", 1.0, 0.04, 0.8),
+            ("slow", 0.5, 0.03, 0.6),
+        )
+    )
+    model = ScenarioModel(groups=groups, arrival_rate=8.0, repair_capacity=2, name="lumped-4")
+    generator = scipy.sparse.csr_matrix(build_truncated_generator(model, level))
+    return generator, chain_structure(model, level)
+
+
+def _preset_chain(name: str, level: int = 60):
+    model = scenario_preset(name)
+    generator = scipy.sparse.csr_matrix(build_truncated_generator(model, level))
+    return generator, chain_structure(model, level)
+
+
+class TestIadMatchesColamdOracle:
+    """The minimum-degree mode factor, the reshaped level solve and the reused
+    residual run the same iteration as the sweep they replaced: the same
+    number of sweeps and the same vector to rounding."""
+
+    TOL = 1e-12
+
+    def _assert_same_iterates(self, generator, structure):
+        reference, sweeps = steady_state_iad_colamd(generator, structure, None, self.TOL, 2000)
+        solved = _steady_state_iad(generator, structure, None, self.TOL, sweeps)
+        np.testing.assert_allclose(solved, reference, rtol=0.0, atol=1e-13)
+        with pytest.raises(SolverError, match="did not reach"):
+            _steady_state_iad(generator, structure, None, self.TOL, sweeps - 1)
+
+    def test_example_chain(self):
+        generator, structure = _example_chain()
+        self._assert_same_iterates(generator.tocsr(), structure)
+
+    def test_lumped_chain(self):
+        self._assert_same_iterates(*_lumped_chain())
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_preset_chain(self, preset):
+        self._assert_same_iterates(*_preset_chain(preset))
+
+    def test_warm_start(self):
+        generator, structure = _lumped_chain()
+        seed = np.tile(structure.mode_marginals, structure.num_levels)
+        seed[: structure.num_modes] *= 40.0
+        reference, sweeps = steady_state_iad_colamd(generator, structure, seed, self.TOL, 2000)
+        solved = _steady_state_iad(generator, structure, seed, self.TOL, sweeps)
+        np.testing.assert_allclose(solved, reference, rtol=0.0, atol=1e-13)
 
 
 class TestLevelModeStructure:

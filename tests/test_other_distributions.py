@@ -54,6 +54,24 @@ class TestErlang:
         xs = np.linspace(0.0, 20.0, 100)
         assert np.all(np.diff(dist.cdf(xs)) >= 0.0)
 
+    @pytest.mark.parametrize("shape", [1, 2, 5, 30])
+    @pytest.mark.parametrize("rate", [0.01, 0.5, 3.0, 120.0])
+    def test_pdf_and_cdf_equal_scipy_stats_gamma(self, shape, rate):
+        import scipy.stats
+
+        dist = Erlang(shape=shape, rate=rate)
+        xs = np.concatenate(
+            [np.linspace(-3.0, 40.0 * shape / rate, 4001), [0.0, -0.0, np.inf, -np.inf]]
+        )
+        with np.errstate(invalid="ignore"):
+            pdf = scipy.stats.gamma.pdf(xs, a=shape, scale=1.0 / rate)
+            cdf = scipy.stats.gamma.cdf(xs, a=shape, scale=1.0 / rate)
+        np.testing.assert_array_equal(dist.pdf(xs), pdf)
+        np.testing.assert_array_equal(dist.cdf(xs), cdf)
+        for x in (-1.0, 0.0, shape / rate):
+            assert dist.pdf(x) == float(scipy.stats.gamma.pdf(x, a=shape, scale=1.0 / rate))
+            assert dist.cdf(x) == float(scipy.stats.gamma.cdf(x, a=shape, scale=1.0 / rate))
+
     def test_pdf_integrates_to_one(self):
         dist = Erlang(shape=4, rate=0.5)
         xs = np.linspace(0.0, 100.0, 100_001)

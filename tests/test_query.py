@@ -329,6 +329,22 @@ def test_integers_beyond_the_largest_float_are_bad_requests(body, field):
         parse_solve_request(parse_body(body))
 
 
+def test_importing_the_library_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about as much to import as numpy, scipy.sparse,
+    # scipy.linalg and scipy.special together; the library needs none of it.
+    script = (
+        "import sys, repro, repro.cli, repro.service; "
+        "print(sorted(name for name in sys.modules if name.startswith('scipy.stats')))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH", "")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert loaded.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("module", ["repro.query", "repro.cli"])
 def test_importing_leaves_the_service_unloaded(module):
     script = (

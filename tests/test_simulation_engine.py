@@ -179,6 +179,17 @@ class TestBatchMeans:
             > batch_means_interval(values, confidence=0.9).half_width
         )
 
+    @pytest.mark.parametrize("batches", [2, 3, 10, 30, 100])
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.999])
+    def test_quantile_equals_scipy_stats_t(self, batches, confidence):
+        import scipy.stats
+
+        values = np.linspace(1.0, 2.0, batches) ** 2
+        interval = batch_means_interval(values, confidence=confidence)
+        quantile = float(scipy.stats.t.ppf(0.5 + confidence / 2.0, df=batches - 1))
+        std_error = float(np.std(values, ddof=1) / np.sqrt(batches))
+        assert interval.half_width == quantile * std_error
+
     def test_single_batch_rejected(self):
         with pytest.raises(SimulationError):
             batch_means_interval(np.array([1.0]))

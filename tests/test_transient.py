@@ -1,13 +1,15 @@
 """Tests for the transient-analysis subsystem (:mod:`repro.transient`).
 
 Covers the uniformization engine (matrix-exponential parity, checkpointed
-multi-time evaluation, stationarity detection, input validation), the
-model-level solution and its derived metrics, the two acceptance criteria of
-the subsystem — large-``t`` agreement with the steady-state CTMC solver to
-1e-6 for the legacy model and every scenario preset, and the analytical
-trajectory lying inside the simulation ensemble's 95% intervals — plus
-first-passage analysis, the ``transient`` solver registry entry with its
-grid-aware cache keys, and the sweep/CLI wiring hooks.
+multi-time evaluation, stationarity detection, input validation, and the
+blocked sweep against the step-by-step loop of
+``stepwise_uniformization.py``), the model-level solution and its derived
+metrics, the two acceptance criteria of the subsystem — large-``t``
+agreement with the steady-state CTMC solver to 1e-6 for the legacy model and
+every scenario preset, and the analytical trajectory lying inside the
+simulation ensemble's 95% intervals — plus first-passage analysis, the
+``transient`` solver registry entry with its grid-aware cache keys, and the
+sweep/CLI wiring hooks.
 """
 
 from __future__ import annotations
@@ -17,12 +19,16 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from stepwise_uniformization import transient_distributions_stepwise
 
 from repro.distributions import Deterministic, Exponential
 from repro.exceptions import ParameterError, UnstableQueueError
 from repro.queueing import UnreliableQueueModel, sun_fitted_model
 from repro.scenarios import preset_names, scenario_preset
 from repro.solvers import SolutionCache, SolverPolicy, solve
+from repro.transient import uniformization
+from repro.transient.uniformization import poisson_truncation_point
 from repro.transient import (
     first_passage_time,
     initial_distribution,
@@ -114,6 +120,19 @@ class TestUniformizationEngine:
         assert result.rate == 0.0 and result.steps == 0
         assert result.distributions == pytest.approx(np.vstack([initial, initial]))
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6, 1e-3])
+    def test_truncation_point_equals_scipy_stats_poisson(self, tol):
+        import scipy.stats
+
+        for mean in np.geomspace(1e-6, 1e6, 97):
+            point = poisson_truncation_point(float(mean), tol)
+            expected = int(scipy.stats.poisson.isf(tol, mean))
+            while scipy.stats.poisson.sf(expected, mean) > tol:
+                expected += 1
+            assert point == expected
+            assert scipy.stats.poisson.sf(point, mean) <= tol
+            assert point == 0 or scipy.stats.poisson.sf(point - 1, mean) > tol
+
     def test_uniformized_matrix_rejects_small_rate(self):
         generator, _ = _random_generator(4)
         with pytest.raises(ParameterError, match="below the largest exit rate"):
@@ -134,6 +153,116 @@ class TestUniformizationEngine:
             transient_distributions(generator, np.ones(3) / 3, (1.0,))
         with pytest.raises(ParameterError, match="sum to one"):
             transient_distributions(generator, np.full(4, 0.5), (1.0,))
+
+
+def _assert_same_sweep(generator, initial, times, **kwargs):
+    """The blocked sweep takes the stepwise loop's steps and stops where it stops."""
+    blocked = transient_distributions(generator, initial, times, **kwargs)
+    stepwise = transient_distributions_stepwise(generator, initial, times, **kwargs)
+    assert blocked.steps == stepwise.steps
+    assert blocked.stationary_step == stepwise.stationary_step
+    np.testing.assert_allclose(blocked.distributions, stepwise.distributions, rtol=0.0, atol=1e-13)
+    return blocked
+
+
+def _sparse_generator(size: int, seed: int, absorbing: int = 0):
+    """A sparse random generator with rates over three decades; the last
+    ``absorbing`` states have zero rows."""
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(0.0, 1.0, (size, size)) * (rng.random((size, size)) < 0.4)
+    rates *= rng.choice([0.1, 1.0, 10.0], size=(size, 1))
+    np.fill_diagonal(rates, 0.0)
+    if absorbing:
+        rates[-absorbing:] = 0.0
+    generator = rates - np.diag(rates.sum(axis=1))
+    initial = rng.dirichlet(np.ones(size))
+    if absorbing:
+        initial[-absorbing:] = 0.0
+        initial /= initial.sum()
+    return generator, initial
+
+
+def _passage_chain(target: str, **kwargs):
+    """The absorbing chain ``first_passage_time`` sweeps for a Sun-fitted N = 3 pool."""
+    from repro.scenarios.ctmc import build_truncated_generator, default_truncation_level
+
+    model = sun_fitted_model(num_servers=3, arrival_rate=1.6)
+    level = default_truncation_level(model)
+    generator = scipy.sparse.csr_matrix(build_truncated_generator(model, level))
+    mask = target_mask(model, level + 1, target, **kwargs)
+    absorbing = (scipy.sparse.diags((~mask).astype(float)) @ generator).tocsr()
+    return absorbing, initial_distribution(model, level + 1, "empty-operative")
+
+
+class TestBlockedSweepMatchesStepwiseOracle:
+    """Blocking the sweep keeps every stopping step and the distributions."""
+
+    @pytest.fixture(
+        params=[1, 3, 256, 10**9], ids=["one-step", "three-steps", "default", "whole-horizon"]
+    )
+    def block_steps(self, request, monkeypatch):
+        monkeypatch.setattr(uniformization, "_BLOCK_STEPS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("stationary_tol", [1e-13, 0.0, 1e-6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_generators_and_grids(self, block_steps, seed, stationary_tol):
+        rng = np.random.default_rng(100 + seed)
+        generator, initial = _sparse_generator(int(rng.integers(3, 25)), seed, seed % 2)
+        rate = uniformization_rate(generator)
+        pool = np.array([0.0, 1e-3, 0.5, 2.0, 10.0, 60.0, 700 / rate, 2000 / rate])
+        times = tuple(float(t) for t in rng.choice(pool, size=4, replace=False))
+        _assert_same_sweep(generator, initial, times, stationary_tol=stationary_tol)
+
+    def test_zero_time(self, block_steps):
+        generator, initial = _sparse_generator(6, seed=1)
+        result = _assert_same_sweep(generator, initial, (0.0,))
+        assert result.steps == 0
+        np.testing.assert_array_equal(result.distributions[0], initial)
+        _assert_same_sweep(generator, initial, (0.0, 1e-3, 3.0))
+
+    @pytest.mark.parametrize("stationary_tol", [1e-13, 0.0])
+    def test_subnormal_seed_window(self, block_steps, stationary_tol):
+        # Lambda*t ~ 708.2, 744, 744.9: the seeds are subnormal, so these
+        # times start in log space and switch to the linear recurrence.
+        generator = np.array([[-14.88, 14.88], [7.0, -7.0]])
+        result = _assert_same_sweep(
+            generator, np.array([1.0, 0.0]), (47.6, 50.0, 50.06), stationary_tol=stationary_tol
+        )
+        if stationary_tol == 0.0:
+            assert result.steps > 745
+
+    def test_times_finish_in_different_blocks(self, block_steps):
+        generator, initial = _sparse_generator(12, seed=5)
+        rate = uniformization_rate(generator)
+        times = (1.0 / rate, 37.0 / rate, 300.0 / rate, 1200.0 / rate)
+        result = _assert_same_sweep(generator, initial, times, stationary_tol=0.0)
+        assert result.stationary_step is None
+        assert result.steps > 1200
+
+    def test_stationarity_found_inside_a_block(self, block_steps):
+        generator, initial = _random_generator(10, seed=7)
+        result = _assert_same_sweep(generator, initial, (10_000.0,))
+        assert result.stationary_step is not None
+        if block_steps in (3, 256):
+            assert result.stationary_step % block_steps != 0
+
+    def test_absorbing_chain(self, block_steps):
+        generator, initial = _sparse_generator(15, seed=23, absorbing=2)
+        result = _assert_same_sweep(generator, initial, (0.5, 5.0, 500.0))
+        assert result.stationary_step is not None
+
+    @pytest.mark.parametrize(
+        ("target", "kwargs", "times"),
+        [
+            ("all-servers-down", {}, (10.0, 100.0)),
+            ("queue-exceeds", {"queue_threshold": 8}, (1.0, 10.0, 100.0)),
+        ],
+        ids=["all-servers-down", "queue-exceeds"],
+    )
+    def test_first_passage_chains(self, target, kwargs, times):
+        generator, initial = _passage_chain(target, **kwargs)
+        _assert_same_sweep(generator, initial, times)
 
 
 class TestTransientSolution:

@@ -28,7 +28,6 @@ import numpy as np
 from .._validation import check_non_negative, check_positive, check_probability
 from ..exceptions import SimulationError, SolverError
 from ..queueing.model import UnreliableQueueModel
-from ..scenarios.model import ScenarioModel
 from ..simulation.scenario_sim import ScenarioSimulator
 from ..solvers import SolutionCache, SolverPolicy, solve
 
@@ -140,7 +139,7 @@ def simulated_response_time_distribution(
     horizon = check_positive(horizon, "horizon")
     if not 0.0 <= warmup_fraction < 1.0:
         raise SimulationError("warmup_fraction must lie in [0, 1)")
-    simulator = ScenarioSimulator(ScenarioModel.from_homogeneous(model), seed=seed)
+    simulator = ScenarioSimulator(model, seed=seed)
     simulator.run(horizon)
     simulator.close()
     warmup_time = warmup_fraction * horizon

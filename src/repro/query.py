@@ -44,7 +44,7 @@ class SolveRequest:
     """One validated query: a model/policy pair plus its seconds budget."""
 
     query: str
-    model: UnreliableQueueModel | ScenarioModel
+    model: ScenarioModel
     policy: SolverPolicy
     deadline: float | None = None
 
@@ -271,7 +271,7 @@ def parse_request(payload: dict) -> SolveRequest:
             "name a preset or describe a model, not both"
         )
 
-    model: UnreliableQueueModel | ScenarioModel
+    model: ScenarioModel
     if "preset" in payload:
         if query == "steady-state":
             raise RequestError(

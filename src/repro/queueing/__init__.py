@@ -4,7 +4,8 @@ Public API
 ----------
 
 * :class:`UnreliableQueueModel`, :func:`sun_fitted_model` — the Palmer–Mitrani
-  model (stability condition, environment, solver entry points).
+  model: the one-group, unlimited-crew :class:`~repro.scenarios.ScenarioModel`
+  under the paper's five fields and vocabulary.
 * :class:`QueueSolution`, :class:`PerformanceSummary` — the common solution
   interface shared by the exact, approximate, reference and simulated
   solutions.

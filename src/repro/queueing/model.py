@@ -1,54 +1,42 @@
 """The unreliable multi-server queueing model of Palmer & Mitrani.
 
-This is the front-end class users construct: ``N`` parallel servers fed by a
-Poisson stream through one unbounded FIFO queue, exponential service times,
-and servers that alternate between operative and inoperative periods drawn
-from exponential or hyperexponential distributions.  Jobs interrupted by a
-breakdown return to the head of the queue and later resume from the point of
-interruption (preemptive resume), which together with the exponential service
-assumption makes the system a Markov-modulated M/M/N queue.
+``N`` parallel servers are fed by a Poisson stream through one unbounded FIFO
+queue; service times are exponential, and servers alternate between operative
+and inoperative periods drawn from exponential or hyperexponential
+distributions.  Jobs interrupted by a breakdown return to the head of the
+queue and later resume from the point of interruption (preemptive resume),
+which together with the exponential service assumption makes the system a
+Markov-modulated M/M/N queue.
 
-The class validates parameters, evaluates the stability condition (paper
-Eq. 11) and hands the heavy lifting to the solvers:
-
-* :meth:`UnreliableQueueModel.solve_spectral` — exact spectral expansion
-  (paper Section 3.1);
-* :meth:`UnreliableQueueModel.solve_geometric` — the heavy-load geometric
-  approximation (paper Section 3.2);
-* :meth:`UnreliableQueueModel.solve_ctmc` — truncated-CTMC reference solution
-  used for validation;
-* :meth:`UnreliableQueueModel.simulate` — discrete-event simulation, which
-  also accepts non-phase-type period distributions.
-
-The model is the ``K = 1, R = N`` case of :class:`~repro.scenarios.ScenarioModel`:
-its environment is the one-group :class:`~repro.markov.ScenarioEnvironment`,
-and spectral expansion, the truncated CTMC, transient analysis and
-simulation run the scenario code on it.  The geometric approximation exists
-for this case only.
+:class:`UnreliableQueueModel` is the paper's five-parameter front end to that
+system: the one-group, unlimited-crew (``K = 1, R = N``)
+:class:`~repro.scenarios.ScenarioModel`.  It adds the paper's vocabulary
+(offered load in busy servers, availability, mean operative servers) and
+inherits everything else: the environment, the stability condition (paper
+Eq. 11) and the solver entry points, the geometric approximation (paper
+Section 3.2) included, which needs this one-group, unlimited-crew shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Self
 
 from .._validation import check_positive, check_positive_int
-from ..distributions import Distribution, Exponential, HyperExponential
-from ..exceptions import UnstableQueueError
-from ..markov import ScenarioEnvironment, expected_num_scenario_modes
+from ..distributions import Distribution, Exponential
+from ..exceptions import ParameterError
+from ..scenarios.model import ScenarioModel, ServerGroup
+from ..solvers.cache import distribution_key
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
-    from ..scenarios.ctmc import ScenarioCTMCSolution
-    from ..simulation.estimators import SimulationEstimate
-    from ..spectral.approximation import GeometricSolution
-    from ..spectral.solution import SpectralSolution
+#: The constructor fields of the pool, in order; a sweep over a pool names
+#: its axes after them.
+POOL_FIELDS = ("num_servers", "arrival_rate", "service_rate", "operative", "inoperative")
 
 
-@dataclass(frozen=True)
-class UnreliableQueueModel:
+# Frozen like every scenario; the constructor and repr are the pool's own, and
+# equality and hashing are the scenario's over the one group.
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class UnreliableQueueModel(ScenarioModel):
     """A multi-server queue whose servers suffer breakdowns and repairs.
 
     Parameters
@@ -68,6 +56,11 @@ class UnreliableQueueModel:
     inoperative:
         Distribution of inoperative (repair) periods, same restrictions.
 
+    The pool is a :class:`~repro.scenarios.ScenarioModel` with one group
+    named ``"servers"`` and an unlimited crew, so every solver and scenario
+    quantity applies to it unchanged.  A limited crew makes a plain scenario:
+    see :meth:`~repro.scenarios.ScenarioModel.from_homogeneous`.
+
     Examples
     --------
     The configuration of the paper's Figure 5 with ``N = 12`` servers:
@@ -84,22 +77,37 @@ class UnreliableQueueModel:
     True
     """
 
-    num_servers: int
-    arrival_rate: float
-    service_rate: float
-    operative: Distribution
-    inoperative: Distribution
-    _validated: bool = field(default=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        check_positive_int(self.num_servers, "num_servers")
-        check_positive(self.arrival_rate, "arrival_rate")
-        check_positive(self.service_rate, "service_rate")
-        object.__setattr__(self, "_validated", True)
+    def __init__(
+        self,
+        num_servers: int,
+        arrival_rate: float,
+        service_rate: float,
+        operative: Distribution,
+        inoperative: Distribution,
+    ) -> None:
+        check_positive_int(num_servers, "num_servers")
+        check_positive(arrival_rate, "arrival_rate")
+        group = ServerGroup("servers", num_servers, service_rate, operative, inoperative)
+        super().__init__(groups=(group,), arrival_rate=arrival_rate)
 
     # ------------------------------------------------------------------ #
-    # Derived characteristics
+    # The five fields and the paper's derived characteristics
     # ------------------------------------------------------------------ #
+
+    @property
+    def service_rate(self) -> float:
+        """The service rate ``mu`` of each operative server."""
+        return self.groups[0].service_rate
+
+    @property
+    def operative(self) -> Distribution:
+        """The distribution of operative periods."""
+        return self.groups[0].operative
+
+    @property
+    def inoperative(self) -> Distribution:
+        """The distribution of inoperative (repair) periods."""
+        return self.groups[0].inoperative
 
     @property
     def mean_service_time(self) -> float:
@@ -114,68 +122,25 @@ class UnreliableQueueModel:
     @property
     def availability(self) -> float:
         """The long-run fraction of time each server is operative, ``eta / (xi + eta)``."""
-        operative_mean = self.operative.mean
-        inoperative_mean = self.inoperative.mean
-        return operative_mean / (operative_mean + inoperative_mean)
+        return self.groups[0].availability
 
     @property
     def mean_operative_servers(self) -> float:
         """The steady-state average number of operative servers ``N eta / (xi + eta)``."""
         return self.num_servers * self.availability
 
-    @property
-    def effective_load(self) -> float:
-        """The load normalised by the average operative capacity.
-
-        This is the quantity plotted on the x-axis of the paper's Figure 8:
-        ``rho = (lambda / mu) / (N eta / (xi + eta))``; the queue is stable
-        iff ``rho < 1``.
-        """
-        return self.offered_load / self.mean_operative_servers
-
-    @property
-    def is_stable(self) -> bool:
-        """Whether the stability condition of paper Eq. 11 holds."""
-        return self.offered_load < self.mean_operative_servers
-
-    def require_stable(self) -> None:
-        """Raise :class:`UnstableQueueError` when the stability condition fails."""
-        if not self.is_stable:
-            raise UnstableQueueError(self.offered_load, self.mean_operative_servers)
-
-    @property
-    def is_markovian(self) -> bool:
-        """Whether both period distributions admit the exact Markov model."""
-        return isinstance(self.operative, (Exponential, HyperExponential)) and isinstance(
-            self.inoperative, (Exponential, HyperExponential)
-        )
-
-    @cached_property
-    def num_modes(self) -> int:
-        """The number of operational modes ``s`` of the Markovian environment (Eq. 12)."""
-        return expected_num_scenario_modes([(self.num_servers, self.operative, self.inoperative)])
-
-    @cached_property
-    def environment(self) -> ScenarioEnvironment:
-        """The Markovian environment: one group of ``N`` servers, unlimited crew."""
-        return ScenarioEnvironment([(self.num_servers, self.operative, self.inoperative)])
-
-    @cached_property
-    def service_capacity_by_level(self) -> "np.ndarray":
-        """Array ``(N + 1, num_modes)``: ``C_j = min(x, j) mu`` per level and mode."""
-        return self.environment.capacity_by_level((self.service_rate,))
-
     # ------------------------------------------------------------------ #
-    # Model surgery helpers used by the experiment harness
+    # Model surgery helpers used by the experiment harness and sweeps
     # ------------------------------------------------------------------ #
+
+    def _replace(self, **changes: object) -> Self:
+        fields = {name: getattr(self, name) for name in POOL_FIELDS}
+        fields.update(changes)
+        return type(self)(**fields)
 
     def with_servers(self, num_servers: int) -> "UnreliableQueueModel":
         """Return a copy of the model with a different number of servers."""
-        return replace(self, num_servers=num_servers)
-
-    def with_arrival_rate(self, arrival_rate: float) -> "UnreliableQueueModel":
-        """Return a copy of the model with a different arrival rate."""
-        return replace(self, arrival_rate=arrival_rate)
+        return self._replace(num_servers=num_servers)
 
     def with_periods(
         self,
@@ -183,66 +148,39 @@ class UnreliableQueueModel:
         inoperative: Distribution | None = None,
     ) -> "UnreliableQueueModel":
         """Return a copy with different operative and/or inoperative distributions."""
-        return replace(
-            self,
+        return self._replace(
             operative=operative if operative is not None else self.operative,
             inoperative=inoperative if inoperative is not None else self.inoperative,
         )
 
-    # ------------------------------------------------------------------ #
-    # Solvers (lazy imports to keep the package import graph acyclic)
-    # ------------------------------------------------------------------ #
+    def check_sweep_axis(self, name: str) -> None:
+        """Raise :class:`ParameterError` unless ``name`` is one of :data:`POOL_FIELDS`."""
+        if name not in POOL_FIELDS:
+            raise ParameterError(
+                f"axis {name!r} is not a model field ({POOL_FIELDS}); provide a model_factory"
+            )
 
-    def solve_spectral(self) -> "SpectralSolution":
-        """Solve the model exactly by spectral expansion (paper Section 3.1)."""
-        from ..spectral.solution import solve_spectral
+    def with_sweep_value(self, name: str, value: object) -> "UnreliableQueueModel":
+        """A copy with the field ``name`` set to ``value`` (see :meth:`check_sweep_axis`)."""
+        if name == "num_servers":
+            return self.with_servers(check_positive_int(value, name))
+        if name in ("arrival_rate", "service_rate"):
+            return self._replace(**{name: float(value)})
+        return self.with_periods(**{name: value})
 
-        return solve_spectral(self)
-
-    def solve_geometric(self) -> "GeometricSolution":
-        """Solve the model approximately by the geometric law (paper Section 3.2)."""
-        from ..spectral.approximation import solve_geometric
-
-        return solve_geometric(self)
-
-    def solve_ctmc(
-        self,
-        max_queue_length: int | None = None,
-        *,
-        warm_start: "ScenarioCTMCSolution | None" = None,
-    ) -> "ScenarioCTMCSolution":
-        """Solve a truncated-CTMC reference model (validation baseline).
-
-        ``warm_start`` seeds the truncation level and the iterative solver's
-        initial iterate from a nearby model's solution (parameter sweeps).
-        """
-        from ..scenarios.ctmc import solve_scenario_ctmc
-
-        return solve_scenario_ctmc(self, max_queue_length, warm_start=warm_start)
-
-    def simulate(
-        self,
-        *,
-        horizon: float,
-        warmup_fraction: float = 0.1,
-        num_batches: int = 10,
-        seed: int = 0,
-    ) -> "SimulationEstimate":
-        """Estimate performance by discrete-event simulation.
-
-        Unlike the analytical solvers this accepts arbitrary period
-        distributions (the paper uses simulation for the deterministic
-        ``C^2 = 0`` point of Figure 6).
-        """
-        from ..simulation.scenario_sim import simulate_queue
-
-        return simulate_queue(
-            self,
-            horizon=horizon,
-            warmup_fraction=warmup_fraction,
-            num_batches=num_batches,
-            seed=seed,
+    def solution_key(self) -> tuple:
+        """The value-based cache key used by :mod:`repro.solvers`: the five fields."""
+        return (
+            self.num_servers,
+            self.arrival_rate,
+            self.service_rate,
+            distribution_key(self.operative),
+            distribution_key(self.inoperative),
         )
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in POOL_FIELDS)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def sun_fitted_model(

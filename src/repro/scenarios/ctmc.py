@@ -1,23 +1,23 @@
-"""Truncated-CTMC reference solution for scenario models and the paper's pool.
+"""Truncated-CTMC reference solution for every chain model.
 
 The spectral expansion handles the infinite queue exactly.  As an independent
 check, this module solves the same Markov process on a *finite* state space:
 the queue is truncated at a large level ``J`` and the global balance
 equations of the chain over ``(queue length, mode)`` pairs are solved with
-sparse linear algebra.  One chain serves both model classes — the paper's
-:class:`~repro.queueing.model.UnreliableQueueModel` is the ``K = 1, R = N``
-scenario.  The service-completion rate of a state is level- and
-mode-dependent: with ``j`` jobs present the fastest-server-first discipline
-puts them on the ``j`` fastest operative servers
+sparse linear algebra.  One chain serves every
+:class:`~repro.scenarios.model.ScenarioModel`, the paper's pool (the
+``K = 1, R = N`` case) included.  The service-completion rate of a state is
+level- and mode-dependent: with ``j`` jobs present the fastest-server-first
+discipline puts them on the ``j`` fastest operative servers
 (:attr:`~repro.scenarios.model.ScenarioModel.service_capacity_by_level`).
 
 The truncation level is seeded from the asymptotic decay rate of the
 queue-length tail, ``J = N + log(eps) / log(z)``:
 
-* for the homogeneous pool (an :class:`UnreliableQueueModel`, or a scenario
-  whose :meth:`~repro.scenarios.model.ScenarioModel.as_homogeneous`
-  succeeds) ``z`` is the dominant eigenvalue ``z_s`` of the spectral
-  expansion — the exact tail decay rate;
+* for a homogeneous model (one group, unlimited crew:
+  :attr:`~repro.scenarios.model.ScenarioModel.is_homogeneous`) ``z`` is the
+  dominant eigenvalue ``z_s`` of the spectral expansion, found on one
+  server — the exact tail decay rate;
 * for every other scenario ``z`` is the effective load, since the exact
   decay rate would need the whole rate matrix ``R``: a heuristic rather than
   a bound (with slow repairs the true decay rate can exceed it substantially).
@@ -37,16 +37,13 @@ import numpy as np
 import scipy.sparse
 
 from .._validation import check_positive_int
-from ..exceptions import ParameterError, ReproError, SolverError
+from ..exceptions import ReproError, SolverError
 from ..markov import LevelModeStructure, assemble_level_mode_generator, steady_state_csr
 from ..obs.metrics import numerics_registry
-from ..queueing.model import UnreliableQueueModel
 from ..queueing.solution_base import QueueSolution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .model import ScenarioModel
-
-    ChainModel = UnreliableQueueModel | ScenarioModel
 
 #: Target truncation tail mass used when choosing the truncation level.
 _DEFAULT_TAIL_MASS = 1e-10
@@ -56,30 +53,25 @@ _MIN_EXTRA_LEVELS = 100
 _MAX_EXTRA_LEVELS = 40_000
 
 
-def _tail_decay_rate(model: "ChainModel") -> float:
+def _tail_decay_rate(model: "ScenarioModel") -> float:
     """The queue-length decay rate used to size the truncation.
 
     The dominant eigenvalue ``z_s`` of the characteristic polynomial when the
-    chain is the homogeneous pool and :func:`~repro.spectral.decay_rate`
-    finds it on one server; the effective load otherwise (non-Markovian
-    periods, unstable or ill-conditioned pools, and every other scenario).
+    model is homogeneous and :func:`~repro.spectral.decay_rate` finds it on
+    one server; the effective load otherwise (non-Markovian periods, unstable
+    or ill-conditioned pools, and every other scenario).
     """
-    if isinstance(model, UnreliableQueueModel):
-        pool = model
-    else:
-        try:
-            pool = model.as_homogeneous()
-        except ParameterError:
-            return model.effective_load
-    try:
+    if model.is_homogeneous:
         from ..spectral.approximation import decay_rate
 
-        return decay_rate(pool)
-    except ReproError:
-        return model.effective_load
+        try:
+            return decay_rate(model)
+        except ReproError:
+            pass
+    return model.effective_load
 
 
-def default_truncation_level(model: "ChainModel") -> int:
+def default_truncation_level(model: "ScenarioModel") -> int:
     """A truncation level that keeps the neglected tail mass below ~1e-10."""
     decay = min(_tail_decay_rate(model), 0.999999)
     if decay <= 0.0:
@@ -98,7 +90,7 @@ class ScenarioCTMCSolution(QueueSolution):
     the chain that was solved.
     """
 
-    def __init__(self, model: "ChainModel", probabilities: np.ndarray) -> None:
+    def __init__(self, model: "ScenarioModel", probabilities: np.ndarray) -> None:
         self._model = model
         self._probabilities = probabilities  # shape (levels, modes)
         self._level_totals = probabilities.sum(axis=1)
@@ -114,7 +106,7 @@ class ScenarioCTMCSolution(QueueSolution):
         return self._probabilities.copy()
 
     @property
-    def model(self) -> "ChainModel":
+    def model(self) -> "ScenarioModel":
         """The model that was solved."""
         return self._model
 
@@ -200,7 +192,7 @@ class ScenarioCTMCSolution(QueueSolution):
 
 
 def build_truncated_generator(
-    model: "ChainModel", max_queue_length: int
+    model: "ScenarioModel", max_queue_length: int
 ) -> scipy.sparse.csr_matrix:
     """Build the sparse generator of the truncated chain.
 
@@ -218,7 +210,7 @@ def build_truncated_generator(
     )
 
 
-def chain_structure(model: "ChainModel", max_queue_length: int) -> LevelModeStructure:
+def chain_structure(model: "ScenarioModel", max_queue_length: int) -> LevelModeStructure:
     """The level x mode structure of the model's truncated chain."""
     environment = model.environment
     return LevelModeStructure(
@@ -229,7 +221,7 @@ def chain_structure(model: "ChainModel", max_queue_length: int) -> LevelModeStru
 
 
 def solve_scenario_ctmc(
-    model: "ChainModel",
+    model: "ScenarioModel",
     max_queue_length: int | None = None,
     *,
     warm_start: ScenarioCTMCSolution | None = None,
@@ -295,7 +287,7 @@ def _warm_start_vector(
 
 
 def _solve_at_level(
-    model: "ChainModel",
+    model: "ScenarioModel",
     max_queue_length: int,
     warm_start: ScenarioCTMCSolution | None = None,
 ) -> ScenarioCTMCSolution:

@@ -1,40 +1,43 @@
-"""Scenario front-end: heterogeneous server groups with a limited repair crew.
+"""The one model class: heterogeneous server groups with a limited repair crew.
 
-A :class:`ScenarioModel` generalises the paper's
-:class:`~repro.queueing.model.UnreliableQueueModel` along two axes while
-staying a Markov-modulated M/M/N-type system:
+A :class:`ScenarioModel` is a Markov-modulated M/M/N-type queue built from
+two ingredients:
 
-* **heterogeneous server groups** — ``K`` named groups, each with its own
-  size, exponential service rate and operative/inoperative period
-  distributions.  The environment mode space becomes the product of the
-  per-group partitions and the scalar operative count of the paper is
-  replaced by a per-group service-capacity vector;
-* **limited repair crew** — at most ``R`` servers are repaired concurrently
-  (inoperative completion rates scale with ``min(broken, R)``); ``R = N``
-  recovers the paper's unlimited-crew model exactly.
+* **server groups** — ``K`` named groups, each with its own size,
+  exponential service rate and operative/inoperative period distributions.
+  The environment's mode space is the product of the per-group partitions,
+  and each mode has a per-group service-capacity vector;
+* **a repair crew** — at most ``R`` servers are repaired concurrently
+  (inoperative completion rates scale with ``min(broken, R)``); ``R = N`` is
+  an unlimited crew.
 
-The paper's model is the ``K = 1, R = N`` case, and the truncated CTMC,
-transient analysis and simulation run one implementation for both classes.
+The paper's pool of ``N`` identical servers is the ``K = 1, R = N`` case.
+:class:`~repro.queueing.model.UnreliableQueueModel` is that case under the
+paper's five-field constructor, and every solver reads it through this
+class.  Any model with one group and an unlimited crew
+(:attr:`ScenarioModel.is_homogeneous`) takes the one-server shortcuts: its
+decay rate ``z_s`` and its geometric approximation come from one server's
+phases, and ``z_s`` sizes its truncated CTMC.
 
-Jobs still arrive in one Poisson stream to one unbounded FIFO queue, service
-is exponential, and an interrupted job resumes from the point of interruption
+Jobs arrive in one Poisson stream to one unbounded FIFO queue, service is
+exponential, and an interrupted job resumes from the point of interruption
 (preemptive resume).  With several service speeds the dispatch discipline
-matters: the scenario model assumes the ``j`` jobs in the system always
-occupy the ``j`` *fastest* operative servers ("fastest-server-first"), which
-keeps the system Markovian and is matched exactly by the scenario simulator.
+matters: the model assumes the ``j`` jobs in the system always occupy the
+``j`` *fastest* operative servers ("fastest-server-first"), which keeps the
+system Markovian and is matched exactly by the scenario simulator.
 
-A scenario chain is the paper's QBD with level- and mode-dependent service
-capacities: :meth:`ScenarioModel.solve_spectral` solves it exactly, and
+:meth:`ScenarioModel.solve_spectral` solves the chain exactly,
 :meth:`ScenarioModel.solve_ctmc` (the truncated reference) and
-:meth:`ScenarioModel.simulate` solve it too.  Only the geometric
-approximation raises :class:`~repro.exceptions.UnsupportedScenarioError`.
+:meth:`ScenarioModel.simulate` solve it too, and
+:meth:`ScenarioModel.solve_geometric` answers the homogeneous case only
+(anything else raises :class:`~repro.exceptions.UnsupportedScenarioError`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Self
 
 import numpy as np
 
@@ -42,13 +45,21 @@ from .._validation import check_positive, check_positive_int
 from ..distributions import Distribution, Exponential, HyperExponential
 from ..exceptions import ParameterError, UnstableQueueError
 from ..markov import ScenarioEnvironment, expected_num_scenario_modes
-from ..queueing.model import UnreliableQueueModel
 from ..solvers.cache import distribution_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..queueing.model import UnreliableQueueModel
     from ..simulation.estimators import SimulationEstimate
+    from ..spectral.approximation import GeometricSolution
     from ..spectral.solution import SpectralSolution
     from .ctmc import ScenarioCTMCSolution
+
+#: Scenario-level fields a sweep axis may name directly.
+SCENARIO_FIELDS = ("arrival_rate", "repair_capacity")
+
+#: Per-group fields addressable through dotted ``"<group>.<field>"`` axes and
+#: :meth:`ScenarioModel.with_group`.
+GROUP_FIELDS = ("size", "service_rate", "operative", "inoperative")
 
 
 @dataclass(frozen=True)
@@ -87,6 +98,12 @@ class ServerGroup:
         return isinstance(self.operative, (Exponential, HyperExponential)) and isinstance(
             self.inoperative, (Exponential, HyperExponential)
         )
+
+    @property
+    def availability(self) -> float:
+        """The long-run fraction of time each server is operative, ``eta / (xi + eta)``."""
+        operative_mean = self.operative.mean
+        return operative_mean / (operative_mean + self.inoperative.mean)
 
     def parameter_key(self) -> tuple:
         """A hashable, value-based stand-in for caching and deduplication.
@@ -138,11 +155,6 @@ class ScenarioModel:
     arrival_rate: float
     repair_capacity: int | None = None
     name: str = "scenario"
-    _validated: bool = field(default=False, repr=False, compare=False)
-
-    #: Marker consulted by solver backends and the cache (duck typing keeps
-    #: :mod:`repro.solvers` free of an import cycle with this package).
-    is_scenario = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "groups", tuple(self.groups))
@@ -155,7 +167,6 @@ class ScenarioModel:
         check_positive(self.arrival_rate, "arrival_rate")
         if self.repair_capacity is not None:
             check_positive_int(self.repair_capacity, "repair_capacity")
-        object.__setattr__(self, "_validated", True)
 
     # ------------------------------------------------------------------ #
     # Basic structure
@@ -166,7 +177,7 @@ class ScenarioModel:
         """The number of server groups ``K``."""
         return len(self.groups)
 
-    @property
+    @cached_property
     def num_servers(self) -> int:
         """The total number of servers ``N`` across all groups."""
         return sum(group.size for group in self.groups)
@@ -177,6 +188,21 @@ class ScenarioModel:
         if self.repair_capacity is None:
             return self.num_servers
         return min(self.repair_capacity, self.num_servers)
+
+    @property
+    def _unlimited_crew(self) -> bool:
+        """Whether every broken server is repaired at once (``R >= N``)."""
+        return self.effective_repair_capacity == self.num_servers
+
+    @property
+    def is_homogeneous(self) -> bool:
+        """Whether this is the paper's pool: one group and an unlimited crew.
+
+        Then the servers are independent and identical, and the queue's decay
+        rate ``z_s`` comes from one server's phases: the geometric
+        approximation and the truncated CTMC's sizing use it.
+        """
+        return len(self.groups) == 1 and self._unlimited_crew
 
     @property
     def service_rates(self) -> tuple[float, ...]:
@@ -223,41 +249,36 @@ class ScenarioModel:
         return self.environment.service_capacities(self.service_rates)
 
     @cached_property
-    def _stability_environment(self) -> ScenarioEnvironment:
-        """The environment used for the stability condition.
-
-        Markovian scenarios use the exact environment.  Scenarios with
-        general period distributions (simulation-only) substitute exponential
-        periods with matched means: with an unlimited crew the servers are
-        independent and availability depends on the period means only, so the
-        substitution is *exact*; with a limited crew it is a mean-based
-        heuristic (the simulator remains the authority on such scenarios).
-        """
-        if self.is_markovian:
-            return self.environment
-        return ScenarioEnvironment(
-            groups=[
-                (
-                    group.size,
-                    Exponential(rate=1.0 / group.operative.mean),
-                    Exponential(rate=1.0 / group.inoperative.mean),
-                )
-                for group in self.groups
-            ],
-            repair_capacity=self.effective_repair_capacity,
-        )
-
-    @cached_property
     def mean_service_capacity(self) -> float:
         """The steady-state average service capacity of the environment.
 
-        This generalises the paper's ``N mu eta / (xi + eta)``: with a limited
-        repair crew the per-server availability is not product-form, so the
-        capacity must be averaged against the environment's stationary
-        distribution (see :attr:`_stability_environment` for how non-Markovian
-        scenarios are handled).
+        This generalises the paper's ``N mu eta / (xi + eta)`` (Eq. 11).  With
+        an unlimited crew the servers are independent, so it is
+        ``sum_g size_g mu_g E[op_g] / (E[op_g] + E[inop_g])`` in closed form,
+        whatever the period distributions.  With a limited crew availability
+        is not product-form, and the capacity is averaged against the
+        environment's stationary distribution; non-Markovian groups then get
+        exponential periods with matched means, a mean-based heuristic (the
+        simulator remains the authority on such scenarios).
         """
-        environment = self._stability_environment
+        if self._unlimited_crew:
+            return sum(
+                group.size * group.service_rate * group.availability for group in self.groups
+            )
+        if self.is_markovian:
+            environment = self.environment
+        else:
+            environment = ScenarioEnvironment(
+                groups=[
+                    (
+                        group.size,
+                        Exponential(rate=1.0 / group.operative.mean),
+                        Exponential(rate=1.0 / group.inoperative.mean),
+                    )
+                    for group in self.groups
+                ],
+                repair_capacity=self.effective_repair_capacity,
+            )
         return float(
             environment.steady_state @ environment.service_capacities(self.service_rates)
         )
@@ -274,13 +295,18 @@ class ScenarioModel:
 
     @property
     def is_stable(self) -> bool:
-        """Whether the generalised stability condition ``lambda < E[capacity]`` holds."""
+        """Whether the stability condition ``lambda < E[capacity]`` holds."""
         return self.arrival_rate < self.mean_service_capacity
 
     def require_stable(self) -> None:
-        """Raise :class:`UnstableQueueError` when the stability condition fails."""
+        """Raise :class:`UnstableQueueError` when the stability condition fails.
+
+        The error states the load and the capacity in the unit of
+        :attr:`offered_load`.
+        """
         if not self.is_stable:
-            raise UnstableQueueError(self.arrival_rate, self.mean_service_capacity)
+            unit = self.arrival_rate / self.offered_load
+            raise UnstableQueueError(self.offered_load, self.mean_service_capacity / unit)
 
     @cached_property
     def service_capacity_by_level(self) -> np.ndarray:
@@ -289,7 +315,8 @@ class ScenarioModel:
         Under fastest-server-first dispatch the ``j`` jobs in the system
         occupy the ``j`` fastest operative servers, so the row for level
         ``j <= N`` sums the ``j`` largest operative per-server rates of each
-        mode; above ``N`` the capacity saturates at :attr:`capacity_vector`.
+        mode (``min(x, j) mu`` for one group); above ``N`` the capacity
+        saturates at :attr:`capacity_vector`.
         """
         return self.environment.capacity_by_level(self.service_rates)
 
@@ -297,13 +324,17 @@ class ScenarioModel:
     # Model surgery helpers (sweep axes build on these)
     # ------------------------------------------------------------------ #
 
-    def with_arrival_rate(self, arrival_rate: float) -> "ScenarioModel":
-        """Return a copy of the scenario with a different arrival rate."""
-        return replace(self, arrival_rate=float(arrival_rate))
+    def _replace(self, **changes: object) -> Self:
+        """A copy with the named constructor fields replaced."""
+        return replace(self, **changes)
+
+    def with_arrival_rate(self, arrival_rate: float) -> Self:
+        """Return a copy of the model with a different arrival rate."""
+        return self._replace(arrival_rate=float(arrival_rate))
 
     def with_repair_capacity(self, repair_capacity: int | None) -> "ScenarioModel":
         """Return a copy of the scenario with a different repair-crew size."""
-        return replace(self, repair_capacity=repair_capacity)
+        return self._replace(repair_capacity=repair_capacity)
 
     def with_group(self, group_name: str, **changes: object) -> "ScenarioModel":
         """Return a copy with the named group's fields replaced.
@@ -311,7 +342,7 @@ class ScenarioModel:
         Accepted fields are those of :class:`ServerGroup` except ``name``
         (rename by rebuilding the scenario instead).
         """
-        unknown = set(changes) - {"size", "service_rate", "operative", "inoperative"}
+        unknown = set(changes) - set(GROUP_FIELDS)
         if unknown:
             raise ParameterError(
                 f"cannot change group field(s) {sorted(unknown)}; "
@@ -321,53 +352,84 @@ class ScenarioModel:
         groups = tuple(
             replace(group, **changes) if group is target else group for group in self.groups
         )
-        return replace(self, groups=groups)
+        return self._replace(groups=groups)
+
+    def check_sweep_axis(self, name: str) -> None:
+        """Raise :class:`ParameterError` unless a sweep axis ``name`` applies here.
+
+        A scenario's axes are :data:`SCENARIO_FIELDS` and dotted
+        ``"<group>.<field>"`` names over :data:`GROUP_FIELDS`.
+        """
+        if name in SCENARIO_FIELDS:
+            return
+        if "." in name:
+            group_name, field_name = name.split(".", 1)
+            group_names = [group.name for group in self.groups]
+            if group_name not in group_names:
+                raise ParameterError(
+                    f"axis {name!r} names unknown server group {group_name!r}; "
+                    f"groups: {', '.join(group_names)}"
+                )
+            if field_name not in GROUP_FIELDS:
+                raise ParameterError(
+                    f"axis {name!r} names unknown group field {field_name!r}; "
+                    f"expected one of {GROUP_FIELDS}"
+                )
+            return
+        raise ParameterError(
+            f"axis {name!r} is not a scenario field ({SCENARIO_FIELDS}) or a "
+            "'<group>.<field>' group axis; provide a model_factory"
+        )
+
+    def with_sweep_value(self, name: str, value: object) -> "ScenarioModel":
+        """A copy with the sweep axis ``name`` (see :meth:`check_sweep_axis`) set to ``value``."""
+        if name == "arrival_rate":
+            return self.with_arrival_rate(float(value))
+        if name == "repair_capacity":
+            capacity = None if value is None else check_positive_int(value, name)
+            return self.with_repair_capacity(capacity)
+        group_name, field_name = name.split(".", 1)
+        if field_name == "size":
+            value = check_positive_int(value, name)
+        elif field_name == "service_rate":
+            value = float(value)
+        return self.with_group(group_name, **{field_name: value})
 
     # ------------------------------------------------------------------ #
-    # Conversions to and from the homogeneous model
+    # Conversions to and from the paper's pool
     # ------------------------------------------------------------------ #
 
     @classmethod
     def from_homogeneous(
         cls,
-        model: UnreliableQueueModel,
+        model: "UnreliableQueueModel",
         *,
         repair_capacity: int | None = None,
         name: str = "scenario",
         group_name: str = "servers",
     ) -> "ScenarioModel":
-        """Wrap an :class:`UnreliableQueueModel` as a single-group scenario."""
+        """The pool as a plain one-group scenario, optionally with a limited crew."""
         return cls(
-            groups=(
-                ServerGroup(
-                    name=group_name,
-                    size=model.num_servers,
-                    service_rate=model.service_rate,
-                    operative=model.operative,
-                    inoperative=model.inoperative,
-                ),
-            ),
+            groups=(replace(model.groups[0], name=group_name),),
             arrival_rate=model.arrival_rate,
             repair_capacity=repair_capacity,
             name=name,
         )
 
-    def as_homogeneous(self) -> UnreliableQueueModel:
-        """Convert a degenerate scenario (``K = 1, R = N``) to the paper's model.
-
-        This is the bridge to the geometric approximation, and the basis of
-        the pinned equivalence tests.
-        """
+    def as_homogeneous(self) -> "UnreliableQueueModel":
+        """Convert a homogeneous scenario (``K = 1, R = N``) to the paper's pool."""
         if self.num_groups != 1:
             raise ParameterError(
                 f"only single-group scenarios are homogeneous (got {self.num_groups} groups)"
             )
-        if self.effective_repair_capacity != self.num_servers:
+        if not self._unlimited_crew:
             raise ParameterError(
                 "scenarios with a limited repair crew "
                 f"(R={self.effective_repair_capacity} < N={self.num_servers}) "
                 "have no homogeneous equivalent"
             )
+        from ..queueing.model import UnreliableQueueModel
+
         group = self.groups[0]
         return UnreliableQueueModel(
             num_servers=group.size,
@@ -396,10 +458,16 @@ class ScenarioModel:
     # ------------------------------------------------------------------ #
 
     def solve_spectral(self) -> "SpectralSolution":
-        """Solve the scenario exactly by spectral expansion (paper Section 3.1)."""
+        """Solve the model exactly by spectral expansion (paper Section 3.1)."""
         from ..spectral.solution import solve_spectral
 
         return solve_spectral(self)
+
+    def solve_geometric(self) -> "GeometricSolution":
+        """Approximate the homogeneous model by the geometric law (paper Section 3.2)."""
+        from ..spectral.approximation import solve_geometric
+
+        return solve_geometric(self)
 
     def solve_ctmc(
         self,
@@ -407,9 +475,10 @@ class ScenarioModel:
         *,
         warm_start: "ScenarioCTMCSolution | None" = None,
     ) -> "ScenarioCTMCSolution":
-        """Solve the scenario's truncated-CTMC reference model.
+        """Solve the model's truncated-CTMC reference (validation baseline).
 
-        ``warm_start`` seeds the solve from a nearby scenario's solution.
+        ``warm_start`` seeds the truncation level and the iterative solver's
+        initial iterate from a nearby model's solution (parameter sweeps).
         """
         from .ctmc import solve_scenario_ctmc
 
@@ -425,9 +494,11 @@ class ScenarioModel:
     ) -> "SimulationEstimate":
         """Estimate performance by discrete-event simulation.
 
-        Accepts arbitrary period distributions; the repair crew is shared
-        equally among the broken servers (matching the analytical model's
-        ``min(broken, R)`` completion-rate scaling for phase-type repairs).
+        Accepts arbitrary period distributions (the paper simulates the
+        deterministic ``C^2 = 0`` point of Figure 6); the repair crew is
+        shared equally among the broken servers (matching the analytical
+        model's ``min(broken, R)`` completion-rate scaling for phase-type
+        repairs).
         """
         from ..simulation.scenario_sim import simulate_scenario
 

@@ -10,10 +10,10 @@ wait, and a job whose service is interrupted by a breakdown returns to the
 paper uses simulation for the deterministic (``C^2 = 0``) operative-period
 point of Figure 6.
 
-It simulates :class:`~repro.scenarios.ScenarioModel` systems, and with them
-the paper's :class:`~repro.queueing.model.UnreliableQueueModel` as its
-``K = 1, R = N`` scenario (:func:`simulate_queue`), while remaining exactly
-equivalent in law to the truncated CTMC for phase-type periods:
+It simulates every :class:`~repro.scenarios.ScenarioModel`, the paper's
+:class:`~repro.queueing.model.UnreliableQueueModel` (its ``K = 1, R = N``
+case) included, while remaining exactly equivalent in law to the truncated
+CTMC for phase-type periods:
 
 * **per-group service rates** — a job carries its remaining service *work*
   (a unit-mean exponential requirement) and a server of group ``g`` consumes
@@ -493,13 +493,11 @@ def simulate_queue(
 ) -> SimulationEstimate:
     """Simulate an :class:`~repro.queueing.model.UnreliableQueueModel`.
 
-    The model runs as its ``K = 1, R = N`` scenario; parameters are those of
+    The pool is a one-group scenario; parameters are those of
     :func:`simulate_scenario`.
     """
-    from ..scenarios.model import ScenarioModel
-
     return simulate_scenario(
-        ScenarioModel.from_homogeneous(model),
+        model,
         horizon=horizon,
         warmup_fraction=warmup_fraction,
         num_batches=num_batches,

@@ -2,11 +2,14 @@
 
 Each backend delegates to the corresponding solver of the library and
 normalises the native solution object into the flat metric mapping shared by
-every consumer (the sweep engine, the cost optimiser, the CLI).  The trusted
-steady-state fallback order — exact first, then the fast approximation, then
-the finite-chain reference, then simulation — is encoded once, in
-:data:`BUILTIN_SOLVER_NAMES`; the ``transient`` backend sits outside that
-chain (it answers time-dependent questions) and runs only when a policy
+every consumer (the sweep engine, the cost optimiser, the CLI).  Every backend
+takes any :class:`~repro.scenarios.ScenarioModel`, the paper's pool included,
+except ``geometric``: it answers homogeneous models only (one group, unlimited
+crew) and raises :class:`~repro.exceptions.UnsupportedScenarioError` for the
+rest.  The trusted steady-state fallback order — exact first, then the fast
+approximation, then the finite-chain reference, then simulation — is encoded
+once, in :data:`BUILTIN_SOLVER_NAMES`; the ``transient`` backend sits outside
+that chain (it answers time-dependent questions) and runs only when a policy
 names it.
 """
 
@@ -14,35 +17,27 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from ..exceptions import UnsupportedScenarioError
 from .base import SIMULATE_DEFAULTS, Solver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..queueing.model import UnreliableQueueModel
+    from ..scenarios.model import ScenarioModel
     from .policy import SolverPolicy
-
-
-def is_scenario_model(model: object) -> bool:
-    """Whether ``model`` is a scenario (duck-typed to avoid an import cycle)."""
-    return bool(getattr(model, "is_scenario", False))
 
 
 class _MarkovianSolver(Solver):
     """Base for the analytical backends, which need a Markovian environment."""
 
-    def supports(self, model: "UnreliableQueueModel") -> bool:
+    def supports(self, model: "ScenarioModel") -> bool:
         return model.is_markovian
 
-    def unsupported_reason(self, model: "UnreliableQueueModel") -> str:
-        if is_scenario_model(model):
-            return (
-                f"the {self.name!r} solver requires exponential or hyperexponential "
-                "period distributions in every server group"
-            )
+    def unsupported_reason(self, model: "ScenarioModel") -> str:
+        periods = ", ".join(
+            f"{type(group.operative).__name__}/{type(group.inoperative).__name__}"
+            for group in model.groups
+        )
         return (
             f"the {self.name!r} solver requires exponential or hyperexponential "
-            f"period distributions, got {type(model.operative).__name__}/"
-            f"{type(model.inoperative).__name__}"
+            f"period distributions, got {periods}"
         )
 
 
@@ -60,10 +55,10 @@ class SpectralSolver(_MarkovianSolver):
     name = "spectral"
     supports_scenarios = True
 
-    def solve(self, model: "UnreliableQueueModel", **options: Any) -> object:
+    def solve(self, model: "ScenarioModel", **options: Any) -> object:
         return model.solve_spectral(**options)
 
-    def work_estimate(self, model: "UnreliableQueueModel") -> float | None:
+    def work_estimate(self, model: "ScenarioModel") -> float | None:
         # The level reduction is O(N s^3), the reduction for R O(steps s^3).
         if not self.supports(model):
             return None
@@ -74,30 +69,30 @@ class SpectralSolver(_MarkovianSolver):
 
 
 class GeometricSolver(_MarkovianSolver):
-    """Heavy-load geometric approximation (paper Section 3.2), homogeneous pool only.
+    """Heavy-load geometric approximation (paper Section 3.2), homogeneous models only.
 
-    Scenarios raise :class:`UnsupportedScenarioError`, which fallback chains skip.
+    It works on one server's phases, so it needs one group with an unlimited
+    crew: the paper's pool, or a scenario of that shape.  Other scenarios
+    raise :class:`UnsupportedScenarioError`, which fallback chains skip.
     """
 
     name = "geometric"
 
-    def supports(self, model: "UnreliableQueueModel") -> bool:
-        return not is_scenario_model(model) and super().supports(model)
+    def supports(self, model: "ScenarioModel") -> bool:
+        return model.is_homogeneous and super().supports(model)
 
-    def unsupported_reason(self, model: "UnreliableQueueModel") -> str:
-        if is_scenario_model(model):
+    def unsupported_reason(self, model: "ScenarioModel") -> str:
+        if not model.is_homogeneous:
             return (
                 f"the {self.name!r} solver handles only the homogeneous model; scenario "
                 "models (server groups, repair crews) need 'spectral', 'ctmc' or 'simulate'"
             )
         return super().unsupported_reason(model)
 
-    def solve(self, model: "UnreliableQueueModel", **options: Any) -> object:
-        if is_scenario_model(model):
-            raise UnsupportedScenarioError(self.unsupported_reason(model))
+    def solve(self, model: "ScenarioModel", **options: Any) -> object:
         return model.solve_geometric(**options)
 
-    def work_estimate(self, model: "UnreliableQueueModel") -> float | None:
+    def work_estimate(self, model: "ScenarioModel") -> float | None:
         # One server's (n + m)-phase chain whatever N: negligible.
         return 0.0 if self.supports(model) else None
 
@@ -106,17 +101,13 @@ class GeometricSolver(_MarkovianSolver):
 
 
 class TruncatedCTMCSolver(_MarkovianSolver):
-    """Truncated-CTMC reference solution used for validation.
-
-    Accepts scenario models as well as the homogeneous model: both expose
-    ``solve_ctmc`` with the same signature and solve the same chain.
-    """
+    """Truncated-CTMC reference solution used for validation, for every chain model."""
 
     name = "ctmc"
     supports_scenarios = True
     supports_warm_start = True
 
-    def solve(self, model: "UnreliableQueueModel", **options: Any) -> object:
+    def solve(self, model: "ScenarioModel", **options: Any) -> object:
         return model.solve_ctmc(**options)
 
     def metrics(self, solution: Any) -> dict[str, float]:
@@ -131,18 +122,14 @@ class TruncatedCTMCSolver(_MarkovianSolver):
 
 
 class SimulationSolver(Solver):
-    """Discrete-event simulation; accepts arbitrary period distributions.
-
-    Dispatches through ``model.simulate``, so homogeneous models and scenario
-    models (which route to the scenario simulator) are both supported.
-    """
+    """Discrete-event simulation (``model.simulate``); accepts arbitrary period distributions."""
 
     name = "simulate"
     supports_scenarios = True
 
     def solve(
         self,
-        model: "UnreliableQueueModel",
+        model: "ScenarioModel",
         *,
         horizon: float = SIMULATE_DEFAULTS.horizon,
         warmup_fraction: float = SIMULATE_DEFAULTS.warmup_fraction,
@@ -184,14 +171,14 @@ class TransientSolver(_MarkovianSolver):
     name deliberately differs from the reserved ``time`` sweep-axis name, so
     time-axis sweeps never emit two columns with the same header).
 
-    Accepts scenario models as well as the homogeneous model (the transient
-    engine reuses the truncated-CTMC generator builders of both).
+    Accepts every chain model: the transient engine reuses the truncated
+    CTMC's generator builder.
     """
 
     name = "transient"
     supports_scenarios = True
 
-    def solve(self, model: "UnreliableQueueModel", **options: Any) -> object:
+    def solve(self, model: "ScenarioModel", **options: Any) -> object:
         from ..transient import solve_transient
 
         return solve_transient(model, **options)

@@ -2,9 +2,9 @@
 
 Every steady-state backend of the library — the exact spectral expansion, the
 heavy-load geometric approximation, the truncated-CTMC reference and the
-discrete-event simulator — answers the same questions about an
-:class:`~repro.queueing.model.UnreliableQueueModel`.  A :class:`Solver` wraps
-one such backend behind a uniform surface:
+discrete-event simulator — answers the same questions about a
+:class:`~repro.scenarios.ScenarioModel`, the paper's pool included.  A
+:class:`Solver` wraps one such backend behind a uniform surface:
 
 * ``name`` — the registry key users put in solver policies;
 * :meth:`Solver.supports` — a cheap capability check against a model (the
@@ -29,7 +29,7 @@ import abc
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..queueing.model import UnreliableQueueModel
+    from ..scenarios.model import ScenarioModel
     from .policy import SolverPolicy
 
 #: Metrics reported for unstable models: the queue grows without bound.
@@ -114,7 +114,7 @@ class Solver(abc.ABC):
     #: neighbour when the winning solver declares this.
     supports_warm_start: bool = False
 
-    def supports(self, model: "UnreliableQueueModel") -> bool:
+    def supports(self, model: "ScenarioModel") -> bool:
         """Whether this solver can evaluate ``model`` at all.
 
         This is a *structural* check (e.g. "the period distributions admit a
@@ -125,19 +125,19 @@ class Solver(abc.ABC):
         """
         return True
 
-    def unsupported_reason(self, model: "UnreliableQueueModel") -> str:
+    def unsupported_reason(self, model: "ScenarioModel") -> str:
         """A human-readable reason why :meth:`supports` returned False."""
         return f"model not supported by the {self.name!r} solver"
 
     @abc.abstractmethod
-    def solve(self, model: "UnreliableQueueModel", **options: object) -> object:
+    def solve(self, model: "ScenarioModel", **options: object) -> object:
         """Evaluate ``model`` and return the backend's native solution object."""
 
     @abc.abstractmethod
     def metrics(self, solution: object) -> dict[str, float]:
         """Normalise a native solution into the flat metric mapping."""
 
-    def work_estimate(self, model: "UnreliableQueueModel") -> float | None:
+    def work_estimate(self, model: "ScenarioModel") -> float | None:
         """The estimated cost of solving ``model``, or ``None`` when unknown.
 
         The unit is the spectral solver's ``N·s³`` (servers times modes

@@ -43,7 +43,7 @@ from ..exceptions import CachePersistenceError
 from .base import SolveOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..queueing.model import UnreliableQueueModel
+    from ..scenarios.model import ScenarioModel
     from .policy import SolverPolicy
 
 #: A cache key: hashable tuple identifying one (model, policy) evaluation.
@@ -69,25 +69,14 @@ def distribution_key(distribution: object) -> object:
     return distribution
 
 
-def solution_cache_key(model: "UnreliableQueueModel", policy: "SolverPolicy") -> CacheKey:
+def solution_cache_key(model: "ScenarioModel", policy: "SolverPolicy") -> CacheKey:
     """The memoisation key of one evaluation: full model parameters + policy.
 
-    Models that define ``solution_key()`` (e.g.
-    :class:`~repro.scenarios.ScenarioModel`, whose parameterisation is a group
-    structure rather than the homogeneous field set) provide their own
-    value-based key; the homogeneous model is keyed by its five fields.
+    The model's own value-based ``solution_key()`` comes first: the paper's
+    pool is keyed by its five fields, any other scenario by its group
+    structure, arrival rate and crew size.
     """
-    key_method = getattr(model, "solution_key", None)
-    if key_method is not None:
-        return (*key_method(), policy)
-    return (
-        model.num_servers,
-        model.arrival_rate,
-        model.service_rate,
-        distribution_key(model.operative),
-        distribution_key(model.inoperative),
-        policy,
-    )
+    return (*model.solution_key(), policy)
 
 
 #: Snapshot format version written by :meth:`SolutionCache.spill`; bumped on
@@ -195,7 +184,7 @@ class SolutionCache:
         """The eviction bound (``None`` = unbounded)."""
         return self._maxsize
 
-    def key(self, model: "UnreliableQueueModel", policy: "SolverPolicy") -> CacheKey:
+    def key(self, model: "ScenarioModel", policy: "SolverPolicy") -> CacheKey:
         """The cache key of one ``(model, policy)`` evaluation."""
         return solution_cache_key(model, policy)
 

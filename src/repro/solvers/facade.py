@@ -37,19 +37,19 @@ from ..exceptions import ParameterError, SimulationError, SolverError
 from ..obs.metrics import MetricsRegistry, numerics_registry
 from ..obs.profiling import AttemptRecord, capture_attempts, record_attempt
 from .base import INFINITE_METRICS, SolveOutcome
-from .cache import CacheKey, SolutionCache, distribution_key, shared_cache
+from .cache import CacheKey, SolutionCache, shared_cache
 from .policy import SolverPolicy, as_policy
 from .registry import SolverRegistry, default_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..queueing.model import UnreliableQueueModel
+    from ..scenarios.model import ScenarioModel
 
 #: Exception types that make one solver fall through to the next in a policy.
 FALLBACK_EXCEPTIONS = (SolverError, ParameterError, SimulationError, NotImplementedError)
 
 
 def _evaluate_capturing(
-    model: "UnreliableQueueModel",
+    model: "ScenarioModel",
     policy: SolverPolicy | None,
     registry: SolverRegistry | None,
     seeds: dict[str, object] | None = None,
@@ -124,7 +124,7 @@ def _count_attempt(numerics: "MetricsRegistry", solver: str, outcome: str) -> No
 
 
 def evaluate(
-    model: "UnreliableQueueModel",
+    model: "ScenarioModel",
     policy: SolverPolicy | None = None,
     *,
     registry: SolverRegistry | None = None,
@@ -157,7 +157,7 @@ def _resolve_cache(cache: SolutionCache | bool | None) -> SolutionCache | None:
 
 
 def solve(
-    model: "UnreliableQueueModel",
+    model: "ScenarioModel",
     policy: SolverPolicy | str | Sequence[str] | None = None,
     *,
     cache: SolutionCache | bool | None = None,
@@ -216,14 +216,14 @@ def _broadcast_policies(
 
 
 def _solve_task(
-    task: tuple[int, "UnreliableQueueModel", SolverPolicy],
+    task: tuple[int, "ScenarioModel", SolverPolicy],
 ) -> tuple[int, SolveOutcome]:
     """Worker entry point: evaluate one model and tag it with its index."""
     index, model, policy = task
     return index, evaluate(model, policy)
 
 
-def _parameter_vector(model: "UnreliableQueueModel") -> tuple[float, ...]:
+def _parameter_vector(model: "ScenarioModel") -> tuple[float, ...]:
     """The numeric leaves of a model's solution key, for grid-distance ordering.
 
     Models of the same family (same structure, different rates) yield vectors
@@ -231,17 +231,6 @@ def _parameter_vector(model: "UnreliableQueueModel") -> tuple[float, ...]:
     the sweep grid" measure; structurally different models yield different
     lengths, which the batch path treats as "no ordering possible".
     """
-    key_method = getattr(model, "solution_key", None)
-    if key_method is not None:
-        key: tuple = tuple(key_method())
-    else:
-        key = (
-            model.num_servers,
-            model.arrival_rate,
-            model.service_rate,
-            distribution_key(model.operative),
-            distribution_key(model.inoperative),
-        )
     leaves: list[float] = []
 
     def visit(value: object) -> None:
@@ -253,7 +242,7 @@ def _parameter_vector(model: "UnreliableQueueModel") -> tuple[float, ...]:
             for item in value:
                 visit(item)
 
-    visit(key)
+    visit(model.solution_key())
     return tuple(leaves)
 
 
@@ -288,7 +277,7 @@ def _grid_order(vectors: list[tuple[float, ...]]) -> list[int] | None:
 
 
 def _evaluate_recorded(
-    model: "UnreliableQueueModel",
+    model: "ScenarioModel",
     policy: SolverPolicy | None,
     registry: SolverRegistry | None,
     seeds: dict[str, object] | None,
@@ -305,7 +294,7 @@ def _evaluate_recorded(
 
 
 def _execute_serial(
-    tasks: list[tuple[int, "UnreliableQueueModel", SolverPolicy]],
+    tasks: list[tuple[int, "ScenarioModel", SolverPolicy]],
     registry: SolverRegistry | None,
     profile: dict[int, list[AttemptRecord]] | None = None,
 ) -> list[tuple[int, SolveOutcome]]:
@@ -354,7 +343,7 @@ def _execute_serial(
 
 
 def _solve_chunk(
-    chunk: list[tuple[int, "UnreliableQueueModel", SolverPolicy]],
+    chunk: list[tuple[int, "ScenarioModel", SolverPolicy]],
 ) -> list[tuple[int, SolveOutcome]]:
     """Worker entry point for one contiguous grid neighbourhood.
 
@@ -369,9 +358,9 @@ def _solve_chunk(
 
 
 def _neighbourhood_chunks(
-    tasks: list[tuple[int, "UnreliableQueueModel", SolverPolicy]],
+    tasks: list[tuple[int, "ScenarioModel", SolverPolicy]],
     workers: int,
-) -> list[list[tuple[int, "UnreliableQueueModel", SolverPolicy]]] | None:
+) -> list[list[tuple[int, "ScenarioModel", SolverPolicy]]] | None:
     """Partition a batch into per-worker contiguous grid neighbourhoods.
 
     The batch is ordered by the same greedy nearest-neighbour walk the serial
@@ -388,7 +377,7 @@ def _neighbourhood_chunks(
     ordered = [tasks[position] for position in order]
     chunk_count = min(workers, len(ordered))
     size, remainder = divmod(len(ordered), chunk_count)
-    chunks: list[list[tuple[int, "UnreliableQueueModel", SolverPolicy]]] = []
+    chunks: list[list[tuple[int, "ScenarioModel", SolverPolicy]]] = []
     start = 0
     for index in range(chunk_count):
         stop = start + size + (1 if index < remainder else 0)
@@ -406,7 +395,7 @@ POOL_BREAK_EVEN_WORK = 2.5e8
 
 
 def _pool_pays(
-    tasks: list[tuple[int, "UnreliableQueueModel", SolverPolicy]],
+    tasks: list[tuple[int, "ScenarioModel", SolverPolicy]],
     registry: SolverRegistry | None,
 ) -> bool:
     """Whether a batch's estimated work reaches :data:`POOL_BREAK_EVEN_WORK`.
@@ -441,7 +430,7 @@ def default_max_workers() -> int:
 
 
 def _execute_parallel(
-    tasks: list[tuple[int, "UnreliableQueueModel", SolverPolicy]],
+    tasks: list[tuple[int, "ScenarioModel", SolverPolicy]],
     max_workers: int,
     registry: SolverRegistry | None,
 ) -> list[tuple[int, SolveOutcome]]:
@@ -491,7 +480,7 @@ def _execute_parallel(
 
 
 def solve_many(
-    models: Iterable["UnreliableQueueModel"],
+    models: Iterable["ScenarioModel"],
     policy: object = None,
     *,
     parallel: bool = False,
@@ -600,7 +589,7 @@ def solve_many(
 
 
 async def solve_many_async(
-    models: Iterable["UnreliableQueueModel"],
+    models: Iterable["ScenarioModel"],
     policy: object = None,
     *,
     parallel: bool = False,

@@ -12,7 +12,11 @@ parameter ``z_s`` and independent of the operational mode (paper Eq. 21):
 It requires only one eigenvalue/eigenvector pair and is asymptotically exact
 as the load approaches saturation (Mitrani 2005, reference [4] of the paper).
 
-``z_s`` is found on one server.  For the homogeneous pool (``K = 1, R = N``)
+``z_s`` is found on one server, so the decay rate and the approximation
+need a homogeneous model: one group and an unlimited crew, ``K = 1, R = N``
+(:attr:`~repro.scenarios.ScenarioModel.is_homogeneous`).  Other scenarios
+raise :class:`~repro.exceptions.UnsupportedScenarioError`.  For a
+homogeneous model
 
 .. math::
 
@@ -39,22 +43,25 @@ phase ``j`` and ``y_k`` in inoperative phase ``k`` weighs
 from __future__ import annotations
 
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import gammaln
 
 from ..blas import single_threaded_blas
-from ..exceptions import SolverError
+from ..exceptions import SolverError, UnsupportedScenarioError
 from ..markov.scenario_env import _as_phase_mixture
-from ..queueing.model import UnreliableQueueModel
 from ..queueing.solution_base import QueueSolution
 from .eigen import rate_matrix
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..scenarios.model import ScenarioModel
 
 #: Largest negative entry accepted in the server's left Perron vector.
 _PERRON_NEGATIVITY_TOLERANCE = 1e-6
 
 
-def _server_perron_pair(model: UnreliableQueueModel) -> tuple[float, np.ndarray]:
+def _server_perron_pair(model: "ScenarioModel") -> tuple[float, np.ndarray]:
     """``z_s`` and one server's left Perron vector.
 
     Returns the spectral radius of the rate matrix of one server fed
@@ -62,8 +69,14 @@ def _server_perron_pair(model: UnreliableQueueModel) -> tuple[float, np.ndarray]
     phases in the order ``(operative phases, inoperative phases)`` and
     summing to one.
     """
-    alpha, xi = _as_phase_mixture(model.operative, "operative")
-    beta, eta = _as_phase_mixture(model.inoperative, "inoperative")
+    if not model.is_homogeneous:
+        raise UnsupportedScenarioError(
+            "the one-server reduction needs one server group with an unlimited repair crew"
+        )
+    model.require_stable()
+    (server,) = model.groups
+    alpha, xi = _as_phase_mixture(server.operative, "operative")
+    beta, eta = _as_phase_mixture(server.inoperative, "inoperative")
     # Breakdowns leave operative phase j for inoperative phase k at
     # xi_j beta_k, repairs go back at eta_k alpha_j (paper Eq. 9, one server).
     # Built here rather than by a one-server ScenarioEnvironment, whose sparse
@@ -74,7 +87,7 @@ def _server_perron_pair(model: UnreliableQueueModel) -> tuple[float, np.ndarray]
             [np.outer(eta, alpha), np.zeros((eta.size, eta.size))],
         ]
     )
-    service = np.concatenate([np.full(xi.size, model.service_rate), np.zeros(eta.size)])
+    service = np.concatenate([np.full(xi.size, server.service_rate), np.zeros(eta.size)])
     arrival = model.arrival_rate / model.num_servers
     rate, _ = rate_matrix(
         arrival * np.eye(service.size),
@@ -91,11 +104,13 @@ def _server_perron_pair(model: UnreliableQueueModel) -> tuple[float, np.ndarray]
 
 
 @single_threaded_blas()
-def decay_rate(model: UnreliableQueueModel) -> float:
+def decay_rate(model: "ScenarioModel") -> float:
     """The dominant eigenvalue ``z_s`` of ``Q(z)``: the queue length's decay rate.
 
     Raises
     ------
+    UnsupportedScenarioError
+        If the model is not homogeneous (one group, unlimited crew).
     UnstableQueueError
         If the stability condition (paper Eq. 11) is violated.
     ParameterError
@@ -103,7 +118,6 @@ def decay_rate(model: UnreliableQueueModel) -> float:
     SolverError
         If the one-server reduction fails to converge.
     """
-    model.require_stable()
     return _server_perron_pair(model)[0]
 
 
@@ -117,7 +131,7 @@ class GeometricSolution(QueueSolution):
 
     def __init__(
         self,
-        model: UnreliableQueueModel,
+        model: "ScenarioModel",
         decay_rate: float,
         mode_vector: np.ndarray,
     ) -> None:
@@ -135,7 +149,7 @@ class GeometricSolution(QueueSolution):
     # ------------------------------------------------------------------ #
 
     @property
-    def model(self) -> UnreliableQueueModel:
+    def model(self) -> "ScenarioModel":
         """The model that was approximated."""
         return self._model
 
@@ -198,17 +212,18 @@ class GeometricSolution(QueueSolution):
 
 
 @single_threaded_blas()
-def solve_geometric(model: UnreliableQueueModel) -> GeometricSolution:
-    """Approximate an :class:`UnreliableQueueModel` by the geometric law of Eq. 21.
+def solve_geometric(model: "ScenarioModel") -> GeometricSolution:
+    """Approximate a homogeneous model by the geometric law of Eq. 21.
 
     Raises
     ------
+    UnsupportedScenarioError
+        If the model is not homogeneous (one group, unlimited crew).
     UnstableQueueError
         If the stability condition (paper Eq. 11) is violated.
     SolverError
         If the decay rate cannot be computed.
     """
-    model.require_stable()
     decay, by_phase = _server_perron_pair(model)
     # Per mode, the servers in each phase, in the same (operative, inoperative) order.
     counts = np.array(

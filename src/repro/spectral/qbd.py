@@ -36,7 +36,7 @@ from .._validation import check_non_negative_int, check_positive
 from ..markov import ScenarioEnvironment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..scenarios.ctmc import ChainModel
+    from ..scenarios.model import ScenarioModel
 
 
 class ModulatedQueueMatrices:
@@ -45,12 +45,12 @@ class ModulatedQueueMatrices:
     Parameters
     ----------
     model:
-        The chain: an :class:`~repro.queueing.UnreliableQueueModel` or a
-        :class:`~repro.scenarios.ScenarioModel` with exponential or
-        hyperexponential periods.
+        The chain: a :class:`~repro.scenarios.ScenarioModel` (the paper's
+        :class:`~repro.queueing.UnreliableQueueModel` included) with
+        exponential or hyperexponential periods.
     """
 
-    def __init__(self, model: "ChainModel") -> None:
+    def __init__(self, model: "ScenarioModel") -> None:
         self._environment = model.environment
         self._arrival_rate = check_positive(model.arrival_rate, "arrival_rate")
         # Row j is the diagonal of C_j for j = 0 .. N.
@@ -144,24 +144,6 @@ class ModulatedQueueMatrices:
     def q2(self) -> np.ndarray:
         """``Q2 = C`` — the coefficient of ``z^2``."""
         return self.repeating_service_matrix
-
-    def characteristic_polynomial(self, z: complex) -> np.ndarray:
-        """Evaluate the characteristic matrix polynomial ``Q(z)`` (Eq. 16)."""
-        return self.q0 + self.q1 * z + self.q2 * (z * z)
-
-    # ------------------------------------------------------------------ #
-    # Whole-process generator checks
-    # ------------------------------------------------------------------ #
-
-    def level_generator_row_sums(self, level: int) -> np.ndarray:
-        """Row sums of the full generator restricted to states at ``level``.
-
-        For every level the rates out of a state must balance the diagonal:
-        ``A - D^A - B - C_level`` plus arrivals ``B`` plus departures
-        ``C_level`` must have zero row sums.  Exposed for the test-suite.
-        """
-        total = self.local_balance_matrix(level) + self.arrival_matrix + self.service_matrix(level)
-        return total.sum(axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -44,14 +44,13 @@ from ..blas import single_threaded_blas
 from ..exceptions import ParameterError, SolverError
 from ..markov.scenario_env import DENSE_MODE_LIMIT
 from ..obs.metrics import RESIDUAL_BUCKETS, SWEEP_COUNT_BUCKETS, numerics_registry
-from ..queueing.model import UnreliableQueueModel
 from ..queueing.solution_base import QueueSolution
 from .approximation import decay_rate
 from .eigen import eigenvalues_inside_unit_disk, invert, rate_matrix
 from .qbd import ModulatedQueueMatrices
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..scenarios.ctmc import ChainModel
+    from ..scenarios.model import ScenarioModel
 
 #: Largest acceptable violation of non-negativity in computed probabilities.
 _NEGATIVITY_TOLERANCE = 1e-7
@@ -83,7 +82,7 @@ class SpectralSolution(QueueSolution):
 
     def __init__(
         self,
-        model: "ChainModel",
+        model: "ScenarioModel",
         matrices: ModulatedQueueMatrices,
         rate_matrix: np.ndarray,
         levels: np.ndarray,
@@ -112,7 +111,7 @@ class SpectralSolution(QueueSolution):
     # ------------------------------------------------------------------ #
 
     @property
-    def model(self) -> "ChainModel":
+    def model(self) -> "ScenarioModel":
         """The model that was solved."""
         return self._model
 
@@ -153,8 +152,13 @@ class SpectralSolution(QueueSolution):
 
     @cached_property
     def decay_rate(self) -> float:
-        """The dominant eigenvalue ``z_s`` (one server's for the pool, else ``R``'s)."""
-        if isinstance(self._model, UnreliableQueueModel):
+        """The dominant eigenvalue ``z_s``: the spectral radius of ``R``.
+
+        A homogeneous model (one group, unlimited crew) reads it off one
+        server's phases, as the geometric approximation does; any other
+        chain takes the largest eigenvalue of :attr:`rate_matrix`.
+        """
+        if self._model.is_homogeneous:
             return decay_rate(self._model)
         return float(np.abs(self._eigenvalues[-1]))
 
@@ -272,16 +276,6 @@ class SpectralSolution(QueueSolution):
         row = self._repeating_row(num_jobs + 1 - self.num_servers)
         return float(min(max(float(row @ self._tail_mass), 0.0), 1.0))
 
-    # ------------------------------------------------------------------ #
-    # Diagnostics
-    # ------------------------------------------------------------------ #
-
-    def normalisation_error(self) -> float:
-        """How far the computed distribution is from summing to one."""
-        boundary = float(self._boundary_vectors.sum())
-        tail = float(self._tail_mode_vector.sum())
-        return abs(boundary + tail - 1.0)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SpectralSolution(N={self.num_servers}, s={self.num_modes}, "
@@ -370,7 +364,7 @@ def _solve_boundary_system(
 
 
 @single_threaded_blas()
-def solve_spectral(model: "ChainModel") -> SpectralSolution:
+def solve_spectral(model: "ScenarioModel") -> SpectralSolution:
     """Solve the paper's pool or a scenario chain exactly by spectral expansion.
 
     Raises

@@ -32,7 +32,7 @@ server-count axis expect.
 from __future__ import annotations
 
 from ..exceptions import ParameterError
-from ..queueing.model import UnreliableQueueModel
+from ..scenarios.model import ScenarioModel
 from ..solvers import (
     SolutionCache,
     SolveOutcome,
@@ -50,12 +50,12 @@ from .spec import SweepSpec
 _Outcome = SolveOutcome
 
 
-def cache_key(model: UnreliableQueueModel, policy: SolverPolicy) -> tuple:
+def cache_key(model: ScenarioModel, policy: SolverPolicy) -> tuple:
     """The memoisation key of one evaluation: full model parameters + policy."""
     return solution_cache_key(model, policy)
 
 
-def evaluate_point(model: UnreliableQueueModel, policy: SolverPolicy) -> SolveOutcome:
+def evaluate_point(model: ScenarioModel, policy: SolverPolicy) -> SolveOutcome:
     """Evaluate one model under a policy; pure function of its arguments.
 
     Thin alias of :func:`repro.solvers.evaluate`, kept because the sweep

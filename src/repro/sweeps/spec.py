@@ -1,28 +1,26 @@
 """Declarative description of a parameter sweep.
 
 A :class:`SweepSpec` is the single object the sweep engine consumes: a base
-:class:`~repro.queueing.model.UnreliableQueueModel`, a list of
-:class:`SweepAxis` grids over model parameters, and a :class:`SolverPolicy`
-describing which solver to try first and where to fall back when it fails.
-Expanding the spec yields one :class:`SweepPoint` per grid cell (Cartesian
-product, first axis slowest), each carrying the concrete model instance and
-the policy that will evaluate it.
+model, a list of :class:`SweepAxis` grids over model parameters, and a
+:class:`SolverPolicy` describing which solver to try first and where to fall
+back when it fails.  Expanding the spec yields one :class:`SweepPoint` per
+grid cell (Cartesian product, first axis slowest), each carrying the concrete
+model instance and the policy that will evaluate it.
 
-Axis names that match a model field (``num_servers``, ``arrival_rate``,
-``service_rate``, ``operative``, ``inoperative``) are applied to the base
-model directly with :func:`dataclasses.replace` semantics.  The name
-``solver`` is reserved: its values select the solver for that point,
+The base model names the axes it accepts and applies them
+(``check_sweep_axis`` and ``with_sweep_value``).  An
+:class:`~repro.queueing.model.UnreliableQueueModel` takes its five fields
+(``num_servers``, ``arrival_rate``, ``service_rate``, ``operative``,
+``inoperative``).  Any other :class:`~repro.scenarios.ScenarioModel` takes
+``arrival_rate`` and ``repair_capacity``, and dotted names of the form
+``"<group>.<field>"`` (with ``field`` one of ``size``, ``service_rate``,
+``operative``, ``inoperative``) that target the named server group — e.g.
+``("slow.service_rate", (0.5, 0.75, 1.0))`` or ``("fast.size", (1, 2, 3))``.
+The name ``solver`` is reserved: its values select the solver for that point,
 overriding the policy order.  Any other axis name requires a
 ``model_factory`` — a callable ``(base_model, parameters) -> model`` that
 knows how to turn the axis values into a model (e.g. mapping an ``scv`` value
 to a fitted hyperexponential operative-period distribution).
-
-A :class:`~repro.scenarios.ScenarioModel` base model sweeps over scenario
-parameters instead: ``arrival_rate`` and ``repair_capacity`` apply to the
-scenario itself, and dotted names of the form ``"<group>.<field>"`` (with
-``field`` one of ``size``, ``service_rate``, ``operative``, ``inoperative``)
-target the named server group — e.g. ``("slow.service_rate", (0.5, 0.75, 1.0))``
-or ``("fast.size", (1, 2, 3))``.
 
 The name ``time`` is reserved too (see :class:`TimeGridAxis`): its values are
 transient evaluation times, folded into each point's policy as a one-point
@@ -41,9 +39,8 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .._validation import check_positive_int
 from ..exceptions import ParameterError
-from ..queueing.model import UnreliableQueueModel
+from ..queueing.model import POOL_FIELDS
 from ..solvers import BUILTIN_SOLVER_NAMES, SolverPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,15 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: with :mod:`repro.solvers`).
 KNOWN_SOLVERS = BUILTIN_SOLVER_NAMES
 
-#: Model fields an axis may target directly (applied via dataclasses.replace).
-MODEL_FIELDS = ("num_servers", "arrival_rate", "service_rate", "operative", "inoperative")
-
-#: Scenario-level fields an axis may target when the base model is a
-#: :class:`~repro.scenarios.ScenarioModel`.
-SCENARIO_FIELDS = ("arrival_rate", "repair_capacity")
-
-#: Per-group fields addressable through dotted ``"<group>.<field>"`` axes.
-GROUP_FIELDS = ("size", "service_rate", "operative", "inoperative")
+#: The pool's fields, which an axis over an
+#: :class:`~repro.queueing.model.UnreliableQueueModel` may target directly.
+MODEL_FIELDS = POOL_FIELDS
 
 #: Reserved axis name that selects the solver per grid point.
 SOLVER_AXIS = "solver"
@@ -126,7 +117,7 @@ class SweepPoint:
 
     index: int
     parameters: Mapping[str, object]
-    model: UnreliableQueueModel
+    model: "ScenarioModel"
     policy: SolverPolicy
 
 
@@ -145,15 +136,15 @@ def _normalise_axes(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A declarative parameter sweep over an unreliable-queue or scenario model.
+    """A declarative parameter sweep over a queueing model.
 
     Attributes
     ----------
     base_model:
-        The model every grid cell starts from — an
-        :class:`~repro.queueing.model.UnreliableQueueModel` or a
-        :class:`~repro.scenarios.ScenarioModel` (which switches the accepted
-        axis names to scenario/group parameters).
+        The model every grid cell starts from: the paper's
+        :class:`~repro.queueing.model.UnreliableQueueModel` (axes over its
+        five fields) or any other :class:`~repro.scenarios.ScenarioModel`
+        (axes over scenario and group parameters).
     axes:
         The grid dimensions; accepts :class:`SweepAxis` instances or plain
         ``(name, values)`` pairs.
@@ -170,10 +161,10 @@ class SweepSpec:
         Label used in exports and progress reports.
     """
 
-    base_model: UnreliableQueueModel
+    base_model: "ScenarioModel"
     axes: tuple[SweepAxis, ...]
     policy: SolverPolicy = field(default_factory=SolverPolicy)
-    model_factory: Callable[[UnreliableQueueModel, Mapping[str, object]], UnreliableQueueModel] | None = None
+    model_factory: Callable[["ScenarioModel", Mapping[str, object]], "ScenarioModel"] | None = None
     point_policy: Callable[[Mapping[str, object]], SolverPolicy] | None = None
     name: str = "sweep"
 
@@ -189,46 +180,9 @@ class SweepSpec:
                 "each axis name must appear exactly once"
             )
         if self.model_factory is None:
-            if self._is_scenario_base:
-                for axis in self.axes:
-                    self._validate_scenario_axis(axis.name)
-            else:
-                for axis in self.axes:
-                    if axis.name not in MODEL_FIELDS and axis.name not in (
-                        SOLVER_AXIS,
-                        TIME_AXIS,
-                    ):
-                        raise ParameterError(
-                            f"axis {axis.name!r} is not a model field "
-                            f"({MODEL_FIELDS}); provide a model_factory"
-                        )
-
-    @property
-    def _is_scenario_base(self) -> bool:
-        return bool(getattr(self.base_model, "is_scenario", False))
-
-    def _validate_scenario_axis(self, name: str) -> None:
-        """Reject axis names a scenario base model cannot apply."""
-        if name in SCENARIO_FIELDS or name in (SOLVER_AXIS, TIME_AXIS):
-            return
-        if "." in name:
-            group_name, field_name = name.split(".", 1)
-            group_names = [group.name for group in self.base_model.groups]
-            if group_name not in group_names:
-                raise ParameterError(
-                    f"axis {name!r} names unknown server group {group_name!r}; "
-                    f"groups: {', '.join(group_names)}"
-                )
-            if field_name not in GROUP_FIELDS:
-                raise ParameterError(
-                    f"axis {name!r} names unknown group field {field_name!r}; "
-                    f"expected one of {GROUP_FIELDS}"
-                )
-            return
-        raise ParameterError(
-            f"axis {name!r} is not a scenario field ({SCENARIO_FIELDS}) or a "
-            "'<group>.<field>' group axis; provide a model_factory"
-        )
+            for name in names:
+                if name not in (SOLVER_AXIS, TIME_AXIS):
+                    self.base_model.check_sweep_axis(name)
 
     @property
     def axis_names(self) -> tuple[str, ...]:
@@ -243,46 +197,14 @@ class SweepSpec:
             size *= len(axis)
         return size
 
-    def _build_model(self, parameters: Mapping[str, object]) -> UnreliableQueueModel:
+    def _build_model(self, parameters: Mapping[str, object]) -> "ScenarioModel":
         if self.model_factory is not None:
             return self.model_factory(self.base_model, parameters)
-        if self._is_scenario_base:
-            return self._build_scenario(parameters)
         model = self.base_model
         for name, value in parameters.items():
-            if name in (SOLVER_AXIS, TIME_AXIS):
-                continue
-            if name == "num_servers":
-                model = model.with_servers(check_positive_int(value, "num_servers"))
-            elif name == "arrival_rate":
-                model = model.with_arrival_rate(float(value))
-            elif name == "operative":
-                model = model.with_periods(operative=value)
-            elif name == "inoperative":
-                model = model.with_periods(inoperative=value)
-            else:  # service_rate
-                model = replace(model, service_rate=float(value))
+            if name not in (SOLVER_AXIS, TIME_AXIS):
+                model = model.with_sweep_value(name, value)
         return model
-
-    def _build_scenario(self, parameters: Mapping[str, object]) -> "ScenarioModel":
-        """Apply scenario and dotted group axes to a scenario base model."""
-        scenario = self.base_model
-        for name, value in parameters.items():
-            if name in (SOLVER_AXIS, TIME_AXIS):
-                continue
-            if name == "arrival_rate":
-                scenario = scenario.with_arrival_rate(float(value))
-            elif name == "repair_capacity":
-                capacity = None if value is None else check_positive_int(value, name)
-                scenario = scenario.with_repair_capacity(capacity)
-            else:
-                group_name, field_name = name.split(".", 1)
-                if field_name == "size":
-                    value = check_positive_int(value, name)
-                elif field_name == "service_rate":
-                    value = float(value)
-                scenario = scenario.with_group(group_name, **{field_name: value})
-        return scenario
 
     def _policy_for(self, parameters: Mapping[str, object]) -> SolverPolicy:
         if self.point_policy is not None:

@@ -45,10 +45,7 @@ from .uniformization import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..queueing.model import UnreliableQueueModel
     from ..scenarios import ScenarioModel
-
-    TransientModel = UnreliableQueueModel | ScenarioModel
 
 #: The named initial conditions accepted by :func:`initial_distribution`.
 INITIAL_CONDITIONS = ("empty-operative", "empty-inoperative", "empty-equilibrium")
@@ -71,7 +68,7 @@ def _occupancy_probability(occupancy: Sequence[int], weights: np.ndarray) -> flo
     return probability
 
 
-def _mode_distribution(model: "TransientModel", kind: str) -> np.ndarray:
+def _mode_distribution(model: "ScenarioModel", kind: str) -> np.ndarray:
     """The distribution over environment modes for a named initial condition."""
     environment = model.environment
     if kind == "empty-equilibrium":
@@ -102,7 +99,7 @@ def _mode_distribution(model: "TransientModel", kind: str) -> np.ndarray:
 
 
 def initial_distribution(
-    model: "TransientModel",
+    model: "ScenarioModel",
     num_levels: int,
     initial: str | Sequence[float] | np.ndarray,
 ) -> np.ndarray:
@@ -152,7 +149,7 @@ def normalise_times(times: float | Sequence[float] | np.ndarray) -> tuple[float,
 
 
 def solve_transient(
-    model: "TransientModel",
+    model: "ScenarioModel",
     times: float | Sequence[float] | np.ndarray = DEFAULT_TIME_GRID,
     *,
     initial: str | Sequence[float] | np.ndarray = "empty-operative",
@@ -165,9 +162,9 @@ def solve_transient(
     Parameters
     ----------
     model:
-        A stable :class:`~repro.queueing.model.UnreliableQueueModel` or
-        :class:`~repro.scenarios.ScenarioModel` with Markovian period
-        distributions (the same restriction as the steady-state CTMC solver).
+        A stable :class:`~repro.scenarios.ScenarioModel` (the paper's pool
+        included) with Markovian period distributions (the same restriction
+        as the steady-state CTMC solver).
     times:
         Evaluation times; deduplicated and sorted ascending.  One
         uniformization pass serves the entire grid.

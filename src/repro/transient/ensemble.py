@@ -23,13 +23,12 @@ import numpy as np
 
 from .._validation import check_positive_int
 from ..exceptions import SimulationError
-from ..scenarios.model import ScenarioModel
 from ..simulation.estimators import ConfidenceInterval, batch_means_interval
 from ..simulation.scenario_sim import ScenarioSimulator
 from .analysis import normalise_times
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .analysis import TransientModel
+    from ..scenarios import ScenarioModel
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ class TransientEnsembleEstimate:
 
 
 def simulate_transient(
-    model: "TransientModel",
+    model: "ScenarioModel",
     times: float | Sequence[float] | np.ndarray,
     *,
     num_replications: int = 200,
@@ -81,10 +80,9 @@ def simulate_transient(
     Parameters
     ----------
     model:
-        An :class:`~repro.queueing.model.UnreliableQueueModel` or
-        :class:`~repro.scenarios.ScenarioModel` (the former runs as its
-        ``K = 1, R = N`` scenario); period distributions may be arbitrary
-        (no phase-type restriction).
+        A :class:`~repro.scenarios.ScenarioModel`, the paper's pool
+        included; period distributions may be arbitrary (no phase-type
+        restriction).
     times:
         Sampling times (deduplicated, sorted ascending).  Every replication
         starts empty with all servers operative — the simulators' bootstrap
@@ -104,14 +102,13 @@ def simulate_transient(
     if grid[-1] <= 0.0:
         raise SimulationError("the sampling grid needs at least one positive time")
 
-    scenario = model if isinstance(model, ScenarioModel) else ScenarioModel.from_homogeneous(model)
     master = np.random.default_rng(seed)
     seeds = master.integers(0, np.iinfo(np.int64).max, size=num_replications)
 
     queue_samples = np.zeros((num_replications, len(grid)))
     operative_samples = np.zeros((num_replications, len(grid)))
     for replication in range(num_replications):
-        simulator = ScenarioSimulator(scenario, seed=int(seeds[replication]))
+        simulator = ScenarioSimulator(model, seed=int(seeds[replication]))
         for index, t in enumerate(grid):
             if t > 0.0:
                 simulator.run(t)

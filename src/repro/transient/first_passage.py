@@ -31,14 +31,14 @@ from .analysis import initial_distribution, normalise_times
 from .uniformization import DEFAULT_TAIL_TOLERANCE, transient_distributions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .analysis import TransientModel
+    from ..scenarios import ScenarioModel
 
 #: Named target sets accepted by :func:`target_mask`.
 TARGET_NAMES = ("all-servers-down", "queue-exceeds")
 
 
 def target_mask(
-    model: "TransientModel",
+    model: "ScenarioModel",
     num_levels: int,
     target: str | Sequence[bool] | np.ndarray,
     *,
@@ -134,7 +134,7 @@ class FirstPassageSolution:
 
 
 def first_passage_time(
-    model: "TransientModel",
+    model: "ScenarioModel",
     times: float | Sequence[float] | np.ndarray,
     *,
     target: str | Sequence[bool] | np.ndarray = "all-servers-down",

@@ -24,7 +24,7 @@ import numpy as np
 from ..exceptions import ParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .analysis import TransientModel
+    from ..scenarios import ScenarioModel
 
 #: Metric columns of :meth:`TransientSolution.to_rows`, in export order.
 METRIC_COLUMNS = (
@@ -42,9 +42,8 @@ class TransientSolution:
     Parameters
     ----------
     model:
-        The model that was analysed (an
-        :class:`~repro.queueing.model.UnreliableQueueModel` or a
-        :class:`~repro.scenarios.ScenarioModel`).
+        The model that was analysed (a
+        :class:`~repro.scenarios.ScenarioModel`, the paper's pool included).
     times:
         The evaluation times, strictly increasing.
     probabilities:
@@ -61,7 +60,7 @@ class TransientSolution:
 
     def __init__(
         self,
-        model: "TransientModel",
+        model: "ScenarioModel",
         times: Sequence[float],
         probabilities: np.ndarray,
         *,
@@ -86,7 +85,7 @@ class TransientSolution:
     # ------------------------------------------------------------------ #
 
     @property
-    def model(self) -> "TransientModel":
+    def model(self) -> "ScenarioModel":
         """The model that was analysed."""
         return self._model
 

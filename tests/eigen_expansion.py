@@ -16,7 +16,11 @@ test-suite to pin them against:
   abscissa of the ``s x s`` matrix ``Q(z)`` (:func:`decay_rate_bisection`)
   and the dominant eigenvalue of the full eigensystem
   (:func:`decay_rate_from_eigensystem`), with the mode vector ``u_s`` as the
-  Perron left null vector of ``Q(z_s)`` (:func:`perron_left_null_vector`).
+  Perron left null vector of ``Q(z_s)`` (:func:`perron_left_null_vector`);
+* the checks the tests make on the QBD and on a solution: ``Q(z)`` itself
+  (:func:`characteristic_polynomial`), the generator's row sums per level
+  (:func:`level_generator_row_sums`) and the distance of a solution's total
+  mass from one (:func:`normalisation_error`).
 
 The eigen path costs a QZ on a ``2s x 2s`` pencil plus an ``O(s^3)`` solve per
 eigenvalue, and its arithmetic is complex; it is an oracle, not a solver.
@@ -55,6 +59,7 @@ from repro.exceptions import SolverError
 from repro.queueing.model import UnreliableQueueModel
 from repro.queueing.solution_base import QueueSolution
 from repro.spectral.qbd import ModulatedQueueMatrices
+from repro.spectral.solution import SpectralSolution
 
 #: Eigenvalues with modulus below this threshold times machine epsilon of the
 #: problem scale are treated as exact zeros (they are legitimate eigenvalues).
@@ -66,6 +71,33 @@ _MAX_INVERSE_ITERATIONS = 4
 
 #: Relative residual under which an inverse-iteration null vector is accepted.
 _INVERSE_ITERATION_TOL = 1e-12
+
+
+def characteristic_polynomial(matrices: ModulatedQueueMatrices, z: complex) -> np.ndarray:
+    """Evaluate the characteristic matrix polynomial ``Q(z)`` (Eq. 16)."""
+    return matrices.q0 + matrices.q1 * z + matrices.q2 * (z * z)
+
+
+def level_generator_row_sums(matrices: ModulatedQueueMatrices, level: int) -> np.ndarray:
+    """Row sums of the full generator restricted to states at ``level``.
+
+    For every level the rates out of a state must balance the diagonal:
+    ``A - D^A - B - C_level`` plus arrivals ``B`` plus departures
+    ``C_level`` must have zero row sums.
+    """
+    total = (
+        matrices.local_balance_matrix(level)
+        + matrices.arrival_matrix
+        + matrices.service_matrix(level)
+    )
+    return total.sum(axis=1)
+
+
+def normalisation_error(solution: SpectralSolution) -> float:
+    """How far a spectral solution's distribution is from summing to one."""
+    boundary = float(solution.boundary_vectors.sum())
+    tail = solution.queue_length_tail(solution.num_servers - 1)
+    return abs(boundary + tail - 1.0)
 
 
 @dataclass(frozen=True)
@@ -424,7 +456,7 @@ def decay_rate_bisection(
     """
 
     def abscissa(z: float) -> float:
-        return spectral_abscissa(matrices.characteristic_polynomial(z))
+        return spectral_abscissa(characteristic_polynomial(matrices, z))
 
     # The abscissa is positive at z -> 0+ (it tends to the arrival rate),
     # zero at z = 1, and negative just left of 1 for a stable queue.  Scan for
@@ -474,7 +506,7 @@ def polynomial_matrices(model: UnreliableQueueModel) -> ModulatedQueueMatrices:
 
 def geometric_mode_vector(matrices: ModulatedQueueMatrices, decay: float) -> np.ndarray:
     """The geometric approximation's mode vector ``u_s``: the Perron null vector of ``Q(z_s)``."""
-    return perron_left_null_vector(matrices.characteristic_polynomial(decay))
+    return perron_left_null_vector(characteristic_polynomial(matrices, decay))
 
 
 def expansion_tail(eigensystem: SpectralEigensystem) -> Tail:

@@ -208,6 +208,13 @@ class TestScenarioCommand:
         assert "Solution (ctmc)" in output
         assert "mean jobs L" in output
 
+    def test_homogeneous_preset_solved_geometrically(self, capsys):
+        exit_code = main(
+            ["scenario", "--preset", "legacy-homogeneous", "--solvers", "geometric"]
+        )
+        assert exit_code == 0
+        assert "Solution (geometric)" in capsys.readouterr().out
+
     def test_preset_solved_exactly_by_default(self, capsys):
         exit_code = main(["scenario", "--preset", "repair-starved-two-speed"])
         output = capsys.readouterr().out

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from eigen_expansion import (
+    characteristic_polynomial,
     eigenvalues_inside_unit_disk,
     perron_left_null_vector,
     refine_eigenpair,
@@ -37,7 +38,7 @@ class TestQuadraticEigenproblem:
             matrices.q0, matrices.q1, matrices.q2
         )
         for value, vector in zip(values[:10], vectors[:10]):
-            residual = vector @ matrices.characteristic_polynomial(value)
+            residual = vector @ characteristic_polynomial(matrices, value)
             scale = max(1.0, float(np.max(np.abs(matrices.q2)))) * max(1.0, abs(value)) ** 2
             assert np.max(np.abs(residual)) < 1e-6 * scale * max(np.max(np.abs(vector)), 1.0)
 
@@ -143,5 +144,5 @@ class TestHelpers:
             matrices.q0, matrices.q1, matrices.q2, perturbed
         )
         assert abs(refined - true_value) < abs(perturbed - true_value)
-        residual = np.max(np.abs(vector @ matrices.characteristic_polynomial(refined)))
+        residual = np.max(np.abs(vector @ characteristic_polynomial(matrices, refined)))
         assert residual < 1e-6

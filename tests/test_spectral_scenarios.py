@@ -81,4 +81,6 @@ def test_light_load_decay_rate_is_the_pools(rate):
     """
     scenario = scenario_preset("legacy-homogeneous", arrival_rate=rate)
     pool = spectral.decay_rate(scenario.as_homogeneous())
-    assert solve_spectral(scenario).decay_rate == pytest.approx(pool, rel=1e-10)
+    solution = solve_spectral(scenario)
+    assert abs(solution.eigenvalues[-1]) == pytest.approx(pool, rel=1e-10)
+    assert solution.decay_rate == pool

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from eigen_expansion import normalisation_error
 
 from repro.distributions import Exponential, HyperExponential
 from repro.exceptions import UnstableQueueError
@@ -14,7 +15,7 @@ from repro.spectral import solve_spectral
 class TestBasicProperties:
     def test_distribution_normalised(self, small_model):
         solution = solve_spectral(small_model)
-        assert solution.normalisation_error() < 1e-9
+        assert normalisation_error(solution) < 1e-9
 
     def test_pmf_values_nonnegative(self, small_model):
         solution = solve_spectral(small_model)

@@ -4,7 +4,7 @@ The grid is twelve exact spectral solves around the paper's Figure-5 region
 (``N = 10..13`` at three arrival rates), about 9.7e7 units of ``N·s³`` work.
 That is under the break-even from which ``parallel=True`` fans a batch out
 over worker processes (:data:`repro.solvers.facade.POOL_BREAK_EVEN_WORK`),
-so both sides run the serial warm-start walk in-process.
+so both sides solve the grid serially in-process.
 ``test_parallel_speedup`` times both paths, prints the speedup and asserts
 that they agree; the two timed benchmarks document the engine's overhead.
 

@@ -632,13 +632,12 @@ def _command_solve(arguments: argparse.Namespace) -> int:
         print()
         print(
             format_table(
-                ("solver", "seconds", "ok", "warm start", "error"),
+                ("solver", "seconds", "ok", "error"),
                 [
                     (
                         attempt.solver,
                         f"{attempt.seconds:.6f}",
                         "yes" if attempt.ok else "no",
-                        "yes" if attempt.warm_start else "no",
                         attempt.error or "",
                     )
                     for attempt in attempts

@@ -326,7 +326,6 @@ def _steady_state_direct(matrix: scipy.sparse.csr_matrix) -> np.ndarray:
 def _steady_state_iad(
     matrix: scipy.sparse.csr_matrix,
     structure: LevelModeStructure,
-    x0: np.ndarray | None,
     tol: float,
     max_sweeps: int,
 ) -> np.ndarray:
@@ -363,14 +362,7 @@ def _steady_state_iad(
 
     registry = numerics_registry()
     marginals = structure.mode_marginals
-    if x0 is not None and x0.shape == (size,) and float(np.sum(np.clip(x0, 0.0, None))) > 0.0:
-        vector = np.clip(np.asarray(x0, dtype=float), 0.0, None)
-        registry.counter(
-            "repro_iad_warm_starts_total",
-            "IAD solves seeded from a caller-supplied warm start.",
-        ).inc()
-    else:
-        vector = np.tile(marginals / num_levels, num_levels)
+    vector = np.tile(marginals / num_levels, num_levels)
 
     positive = marginals > 0.0
     residual = transposed @ vector
@@ -417,7 +409,6 @@ def steady_state_csr(
     generator: scipy.sparse.spmatrix | np.ndarray,
     *,
     structure: LevelModeStructure | None = None,
-    x0: np.ndarray | None = None,
     tol: float = DEFAULT_STEADY_STATE_TOL,
     max_sweeps: int = MAX_IAD_SWEEPS,
 ) -> np.ndarray:
@@ -432,9 +423,6 @@ def steady_state_csr(
         whose estimated direct-factorisation fill exceeds the budget are
         solved by the structured aggregation-disaggregation iteration, which
         needs this; without it every chain takes the direct path.
-    x0:
-        Optional warm start for the iterative path (e.g. a neighbouring
-        sweep point's solution).  Ignored by the direct path.
     tol:
         Absolute tolerance on ``max |pi Q|`` for the iterative path.
     max_sweeps:
@@ -457,7 +445,7 @@ def steady_state_csr(
             "Sparse steady-state solves, by solver path.",
             labels={"path": "iad"},
         ).inc()
-        return _steady_state_iad(matrix, structure, x0, tol, max_sweeps)
+        return _steady_state_iad(matrix, structure, tol, max_sweeps)
     numerics_registry().counter(
         "repro_steady_state_solves_total",
         "Sparse steady-state solves, by solver path.",

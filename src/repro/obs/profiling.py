@@ -1,6 +1,6 @@
 """Per-backend profiling: capture the facade's fallback-chain attempts.
 
-The solver facade's :func:`~repro.solvers.facade._evaluate_capturing` is the
+The solver facade's :func:`~repro.solvers.facade.evaluate` is the
 single place the spectral → geometric → ctmc → simulate chain runs, so it is
 the single place backend timing can be observed.  It calls
 :func:`record_attempt` around every attempt — a no-op unless a caller has an
@@ -35,7 +35,6 @@ class AttemptRecord:
     seconds: float
     ok: bool
     error: str | None = None
-    warm_start: bool = False
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -43,7 +42,6 @@ class AttemptRecord:
             "seconds": round(self.seconds, 6),
             "ok": self.ok,
             "error": self.error,
-            "warm_start": self.warm_start,
         }
 
 
@@ -78,17 +76,12 @@ def record_attempt(
     *,
     ok: bool,
     error: str | None = None,
-    warm_start: bool = False,
 ) -> None:
     """Report one backend attempt; free when no capture is active."""
     stack = _state.stack
     if not stack:
         return
-    stack[-1].append(
-        AttemptRecord(
-            solver=solver, seconds=seconds, ok=ok, error=error, warm_start=warm_start
-        )
-    )
+    stack[-1].append(AttemptRecord(solver=solver, seconds=seconds, ok=ok, error=error))
 
 
 def capturing() -> bool:

@@ -221,10 +221,7 @@ def chain_structure(model: "ScenarioModel", max_queue_length: int) -> LevelModeS
 
 
 def solve_scenario_ctmc(
-    model: "ScenarioModel",
-    max_queue_length: int | None = None,
-    *,
-    warm_start: ScenarioCTMCSolution | None = None,
+    model: "ScenarioModel", max_queue_length: int | None = None
 ) -> ScenarioCTMCSolution:
     """Solve the truncated chain of a scenario or homogeneous model.
 
@@ -238,11 +235,6 @@ def solve_scenario_ctmc(
         :func:`default_truncation_level` and doubled until the realised
         boundary mass meets the ~1e-10 target (up to a hard cap).  An
         explicit level is used as given, with no adaptation.
-    warm_start:
-        A previously computed solution of a *nearby* model.  Its truncation
-        level seeds the level search and its probabilities seed the iterative
-        solver's initial iterate (sweep engines pass the nearest solved grid
-        neighbour here).
     """
     model.require_stable()
     if max_queue_length is not None:
@@ -251,12 +243,10 @@ def solve_scenario_ctmc(
                 "max_queue_length must exceed the number of servers "
                 f"({max_queue_length} <= {model.num_servers})"
             )
-        return _solve_at_level(model, max_queue_length, warm_start)
+        return _solve_at_level(model, max_queue_length)
 
     level = default_truncation_level(model)
-    if warm_start is not None:
-        level = max(warm_start.truncation_level, model.num_servers + 1)
-    solution = _solve_at_level(model, level, warm_start)
+    solution = _solve_at_level(model, level)
     while (
         solution.truncation_mass() > _DEFAULT_TAIL_MASS
         and level - model.num_servers < _MAX_EXTRA_LEVELS
@@ -267,34 +257,14 @@ def solve_scenario_ctmc(
             "repro_ctmc_truncation_growths_total",
             "Adaptive re-solves after the boundary mass exceeded its target.",
         ).inc()
-        solution = _solve_at_level(model, level, warm_start)
+        solution = _solve_at_level(model, level)
     return solution
 
 
-def _warm_start_vector(
-    warm_start: ScenarioCTMCSolution | None, num_levels: int, num_modes: int
-) -> np.ndarray | None:
-    """Pad or truncate a neighbouring solution into an initial iterate."""
-    if warm_start is None:
-        return None
-    probabilities = warm_start.probabilities_by_level
-    if probabilities.shape[1] != num_modes:
-        return None
-    seed = np.zeros((num_levels, num_modes))
-    common = min(num_levels, probabilities.shape[0])
-    seed[:common] = probabilities[:common]
-    return seed.ravel()
-
-
-def _solve_at_level(
-    model: "ScenarioModel",
-    max_queue_length: int,
-    warm_start: ScenarioCTMCSolution | None = None,
-) -> ScenarioCTMCSolution:
+def _solve_at_level(model: "ScenarioModel", max_queue_length: int) -> ScenarioCTMCSolution:
     """Solve the truncated chain at one fixed truncation level."""
     generator = build_truncated_generator(model, max_queue_length)
     structure = chain_structure(model, max_queue_length)
-    x0 = _warm_start_vector(warm_start, max_queue_length + 1, structure.num_modes)
-    stationary = steady_state_csr(generator, structure=structure, x0=x0)
+    stationary = steady_state_csr(generator, structure=structure)
     probabilities = stationary.reshape(max_queue_length + 1, structure.num_modes)
     return ScenarioCTMCSolution(model, probabilities)

@@ -469,20 +469,11 @@ class ScenarioModel:
 
         return solve_geometric(self)
 
-    def solve_ctmc(
-        self,
-        max_queue_length: int | None = None,
-        *,
-        warm_start: "ScenarioCTMCSolution | None" = None,
-    ) -> "ScenarioCTMCSolution":
-        """Solve the model's truncated-CTMC reference (validation baseline).
-
-        ``warm_start`` seeds the truncation level and the iterative solver's
-        initial iterate from a nearby model's solution (parameter sweeps).
-        """
+    def solve_ctmc(self, max_queue_length: int | None = None) -> "ScenarioCTMCSolution":
+        """Solve the model's truncated-CTMC reference (validation baseline)."""
         from .ctmc import solve_scenario_ctmc
 
-        return solve_scenario_ctmc(self, max_queue_length, warm_start=warm_start)
+        return solve_scenario_ctmc(self, max_queue_length)
 
     def simulate(
         self,

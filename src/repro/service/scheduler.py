@@ -345,8 +345,6 @@ class BatchScheduler:
             annotations: dict[str, object] = {"ok": attempt.ok}
             if attempt.error:
                 annotations["error"] = attempt.error
-            if attempt.warm_start:
-                annotations["warm_start"] = True
             trace.add(
                 f"backend:{attempt.solver}", attempt_started, attempt_ended, **annotations
             )

@@ -105,7 +105,6 @@ class TruncatedCTMCSolver(_MarkovianSolver):
 
     name = "ctmc"
     supports_scenarios = True
-    supports_warm_start = True
 
     def solve(self, model: "ScenarioModel", **options: Any) -> object:
         return model.solve_ctmc(**options)

@@ -107,13 +107,6 @@ class Solver(abc.ABC):
     #: can skip them deterministically.
     supports_scenarios: bool = False
 
-    #: Whether :meth:`solve` accepts a ``warm_start`` keyword carrying the
-    #: native solution of a *nearby* model (same family).  The serial path of
-    #: :func:`~repro.solvers.facade.solve_many` orders grid points by
-    #: parameter distance and seeds each solve from its nearest solved
-    #: neighbour when the winning solver declares this.
-    supports_warm_start: bool = False
-
     def supports(self, model: "ScenarioModel") -> bool:
         """Whether this solver can evaluate ``model`` at all.
 

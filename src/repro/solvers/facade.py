@@ -13,13 +13,17 @@ Parallel fan-out is parent-owned: pending work is deduplicated by cache key
 merges the results back into the cache.  Repeated grid points are therefore
 never solved twice, serial or parallel.
 
+Every point of a batch is solved on its own, exactly as :func:`evaluate`
+solves it alone, so a batch answer (and the answer a cache stores) does not
+depend on which other models shared the batch, on their order, or on the
+path that solved them.
+
 ``parallel=True`` is a permission, not an order: a batch fans out only when
 its estimated work (each first-choice solver's
 :meth:`~repro.solvers.base.Solver.work_estimate`) reaches
 :data:`POOL_BREAK_EVEN_WORK`, or when any task's cost is unknown.  Smaller
-batches run the serial warm-start walk in-process, with the same outcomes:
-below that work, creating and feeding a process pool costs more than it
-saves.
+batches run serially in-process, with the same outcomes: below that work,
+creating and feeding a process pool costs more than it saves.
 """
 
 from __future__ import annotations
@@ -48,81 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 FALLBACK_EXCEPTIONS = (SolverError, ParameterError, SimulationError, NotImplementedError)
 
 
-def _evaluate_capturing(
-    model: "ScenarioModel",
-    policy: SolverPolicy | None,
-    registry: SolverRegistry | None,
-    seeds: dict[str, object] | None = None,
-) -> tuple[SolveOutcome, dict[str, object]]:
-    """Evaluate one model, threading warm starts in and native solutions out.
-
-    ``seeds`` maps solver names to the native solution of a *nearby* model;
-    each is forwarded as the ``warm_start`` option to solvers that declare
-    :attr:`~repro.solvers.base.Solver.supports_warm_start`.  The returned
-    mapping carries the winning solver's native solution (same keying) so the
-    batch path can seed the next grid point — it never leaves this module.
-    """
-    policy = as_policy(policy, registry=registry)
-    registry = registry if registry is not None else default_registry()
-    if not model.is_stable:
-        return SolveOutcome(None, False, dict(INFINITE_METRICS), None), {}
-    numerics = numerics_registry()
-    failures: list[str] = []
-    for name in policy.order:
-        warm = False
-        seeded = False
-        attempt_started = time.perf_counter()
-        try:
-            solver = registry.get(name)
-            if not solver.supports(model):
-                reason = solver.unsupported_reason(model)
-                failures.append(f"{name}: {reason}")
-                record_attempt(
-                    name, time.perf_counter() - attempt_started, ok=False, error=reason
-                )
-                _count_attempt(numerics, name, "unsupported")
-                continue
-            options = solver.options_from_policy(policy)
-            warm = bool(getattr(solver, "supports_warm_start", False))
-            seeded = bool(warm and seeds and name in seeds)
-            if seeded and seeds is not None:
-                options["warm_start"] = seeds[name]
-            solution = solver.solve(model, **options)
-            metrics = dict(solver.metrics(solution))
-        except FALLBACK_EXCEPTIONS as exc:
-            failures.append(f"{name}: {exc}")
-            record_attempt(
-                name, time.perf_counter() - attempt_started, ok=False, error=str(exc)
-            )
-            _count_attempt(numerics, name, "failed")
-            continue
-        record_attempt(
-            name, time.perf_counter() - attempt_started, ok=True, warm_start=seeded
-        )
-        _count_attempt(numerics, name, "ok")
-        if seeded:
-            numerics.counter(
-                "repro_solver_warm_start_hits_total",
-                "Successful solves that were seeded from a neighbouring solution.",
-                labels={"solver": name},
-            ).inc()
-        return SolveOutcome(name, True, metrics, None), ({name: solution} if warm else {})
-    numerics.counter(
-        "repro_solver_fallback_exhausted_total",
-        "Evaluations in which every solver in the policy order failed.",
-    ).inc()
-    return SolveOutcome(None, True, {}, "; ".join(failures) or "no solver succeeded"), {}
-
-
-def _count_attempt(numerics: "MetricsRegistry", solver: str, outcome: str) -> None:
-    """One fallback-chain attempt in the numerical-health registry."""
-    numerics.counter(
-        "repro_solver_attempts_total",
-        "Fallback-chain attempts, by solver and outcome.",
-        labels={"solver": solver, "outcome": outcome},
-    ).inc()
-
-
 def evaluate(
     model: "ScenarioModel",
     policy: SolverPolicy | None = None,
@@ -138,8 +67,50 @@ def evaluate(
     to the next name, and a row with every solver failed carries the
     concatenated diagnostics.
     """
-    outcome, _ = _evaluate_capturing(model, policy, registry)
-    return outcome
+    policy = as_policy(policy, registry=registry)
+    registry = registry if registry is not None else default_registry()
+    if not model.is_stable:
+        return SolveOutcome(None, False, dict(INFINITE_METRICS), None)
+    numerics = numerics_registry()
+    failures: list[str] = []
+    for name in policy.order:
+        attempt_started = time.perf_counter()
+        try:
+            solver = registry.get(name)
+            if not solver.supports(model):
+                reason = solver.unsupported_reason(model)
+                failures.append(f"{name}: {reason}")
+                record_attempt(
+                    name, time.perf_counter() - attempt_started, ok=False, error=reason
+                )
+                _count_attempt(numerics, name, "unsupported")
+                continue
+            solution = solver.solve(model, **solver.options_from_policy(policy))
+            metrics = dict(solver.metrics(solution))
+        except FALLBACK_EXCEPTIONS as exc:
+            failures.append(f"{name}: {exc}")
+            record_attempt(
+                name, time.perf_counter() - attempt_started, ok=False, error=str(exc)
+            )
+            _count_attempt(numerics, name, "failed")
+            continue
+        record_attempt(name, time.perf_counter() - attempt_started, ok=True)
+        _count_attempt(numerics, name, "ok")
+        return SolveOutcome(name, True, metrics, None)
+    numerics.counter(
+        "repro_solver_fallback_exhausted_total",
+        "Evaluations in which every solver in the policy order failed.",
+    ).inc()
+    return SolveOutcome(None, True, {}, "; ".join(failures) or "no solver succeeded")
+
+
+def _count_attempt(numerics: "MetricsRegistry", solver: str, outcome: str) -> None:
+    """One fallback-chain attempt in the numerical-health registry."""
+    numerics.counter(
+        "repro_solver_attempts_total",
+        "Fallback-chain attempts, by solver and outcome.",
+        labels={"solver": solver, "outcome": outcome},
+    ).inc()
 
 
 def _resolve_cache(cache: SolutionCache | bool | None) -> SolutionCache | None:
@@ -223,167 +194,26 @@ def _solve_task(
     return index, evaluate(model, policy)
 
 
-def _parameter_vector(model: "ScenarioModel") -> tuple[float, ...]:
-    """The numeric leaves of a model's solution key, for grid-distance ordering.
-
-    Models of the same family (same structure, different rates) yield vectors
-    of equal length whose Euclidean distance is a meaningful "how far apart on
-    the sweep grid" measure; structurally different models yield different
-    lengths, which the batch path treats as "no ordering possible".
-    """
-    leaves: list[float] = []
-
-    def visit(value: object) -> None:
-        if isinstance(value, bool):
-            leaves.append(float(value))
-        elif isinstance(value, (int, float)):
-            leaves.append(float(value))
-        elif isinstance(value, (tuple, list)):
-            for item in value:
-                visit(item)
-
-    visit(model.solution_key())
-    return tuple(leaves)
-
-
-def _grid_order(vectors: list[tuple[float, ...]]) -> list[int] | None:
-    """Greedy nearest-neighbour ordering of grid points, or ``None``.
-
-    Returns ``None`` when the batch has no common parameterisation (vector
-    lengths differ, or no numeric parameters at all), in which case the
-    caller keeps the submission order and skips warm-starting.
-    """
-    if len({len(vector) for vector in vectors}) != 1 or not vectors[0]:
-        return None
-    # Normalise each dimension by its range across the batch so "one more
-    # server" and "0.1 more arrivals/sec" are commensurable steps.
-    columns = list(zip(*vectors))
-    spans = [max(column) - min(column) or 1.0 for column in columns]
-    scaled = [
-        tuple(value / span for value, span in zip(vector, spans)) for vector in vectors
-    ]
-
-    def distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-        return sum((x - y) ** 2 for x, y in zip(a, b))
-
-    remaining = set(range(1, len(vectors)))
-    order = [0]
-    while remaining:
-        last = scaled[order[-1]]
-        closest = min(remaining, key=lambda position: distance(scaled[position], last))
-        remaining.discard(closest)
-        order.append(closest)
-    return order
-
-
-def _evaluate_recorded(
-    model: "ScenarioModel",
-    policy: SolverPolicy | None,
-    registry: SolverRegistry | None,
-    seeds: dict[str, object] | None,
-    profile: dict[int, list[AttemptRecord]] | None,
-    index: int,
-) -> tuple[SolveOutcome, dict[str, object]]:
-    """One evaluation, optionally capturing its attempts into ``profile[index]``."""
-    if profile is None:
-        return _evaluate_capturing(model, policy, registry, seeds)
-    with capture_attempts() as attempts:
-        result = _evaluate_capturing(model, policy, registry, seeds)
-    profile[index] = list(attempts)
-    return result
-
-
 def _execute_serial(
     tasks: list[tuple[int, "ScenarioModel", SolverPolicy]],
     registry: SolverRegistry | None,
     profile: dict[int, list[AttemptRecord]] | None = None,
 ) -> list[tuple[int, SolveOutcome]]:
-    """Evaluate a batch in-process, warm-starting along the parameter grid.
+    """Evaluate a batch in-process, in submission order.
 
-    Grid points are visited in greedy nearest-neighbour order and each solve
-    is seeded with the native solution of its *nearest already-solved*
-    neighbour (initial iterate + truncation level), which is what makes dense
-    sweeps through the iterative CTMC solver cheap: consecutive grid points
-    differ by one parameter nudge, so the neighbour's solution is already an
-    excellent iterate.  Outcomes are identical to independent solves up to
-    solver tolerance.
+    With a ``profile`` mapping, each model's attempts are captured into
+    ``profile[index]``.
     """
-    if len(tasks) < 2:
-        return [
-            (index, _evaluate_recorded(model, policy, registry, None, profile, index)[0])
-            for index, model, policy in tasks
-        ]
-    vectors = [_parameter_vector(model) for _, model, _ in tasks]
-    order = _grid_order(vectors)
-    if order is None:
-        return [
-            (index, _evaluate_recorded(model, policy, registry, None, profile, index)[0])
-            for index, model, policy in tasks
-        ]
     results: list[tuple[int, SolveOutcome]] = []
-    solved: list[tuple[int, dict[str, object]]] = []  # (task position, native solutions)
-
-    def distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-        return sum((x - y) ** 2 for x, y in zip(a, b))
-
-    for position in order:
-        index, model, policy = tasks[position]
-        seeds: dict[str, object] = {}
-        if solved:
-            _, seeds = min(
-                solved, key=lambda item: distance(vectors[item[0]], vectors[position])
-            )
-        outcome, solutions = _evaluate_recorded(
-            model, policy, registry, seeds, profile, index
-        )
-        if solutions:
-            solved.append((position, solutions))
+    for index, model, policy in tasks:
+        if profile is None:
+            outcome = evaluate(model, policy, registry=registry)
+        else:
+            with capture_attempts() as attempts:
+                outcome = evaluate(model, policy, registry=registry)
+            profile[index] = list(attempts)
         results.append((index, outcome))
     return results
-
-
-def _solve_chunk(
-    chunk: list[tuple[int, "ScenarioModel", SolverPolicy]],
-) -> list[tuple[int, SolveOutcome]]:
-    """Worker entry point for one contiguous grid neighbourhood.
-
-    Each worker process receives a *contiguous* run of the greedy
-    nearest-neighbour ordering and replays the serial warm-start walk inside
-    it, so every solve (after the chunk's first) is seeded from a solved
-    neighbour of its own process — the parallel counterpart of the serial
-    sweep seeding.  Workers dispatch through their own process-global
-    registry, exactly like :func:`_solve_task` did.
-    """
-    return _execute_serial(chunk, None)
-
-
-def _neighbourhood_chunks(
-    tasks: list[tuple[int, "ScenarioModel", SolverPolicy]],
-    workers: int,
-) -> list[list[tuple[int, "ScenarioModel", SolverPolicy]]] | None:
-    """Partition a batch into per-worker contiguous grid neighbourhoods.
-
-    The batch is ordered by the same greedy nearest-neighbour walk the serial
-    path uses, then cut into ``workers`` contiguous runs of near-equal size;
-    consecutive members of a run are close on the parameter grid, which is
-    what makes within-chunk warm starts effective.  ``None`` when the batch
-    has no common parameterisation (mixed model families), in which case the
-    caller falls back to unseeded per-task fan-out.
-    """
-    vectors = [_parameter_vector(model) for _, model, _ in tasks]
-    order = _grid_order(vectors)
-    if order is None:
-        return None
-    ordered = [tasks[position] for position in order]
-    chunk_count = min(workers, len(ordered))
-    size, remainder = divmod(len(ordered), chunk_count)
-    chunks: list[list[tuple[int, "ScenarioModel", SolverPolicy]]] = []
-    start = 0
-    for index in range(chunk_count):
-        stop = start + size + (1 if index < remainder else 0)
-        chunks.append(ordered[start:stop])
-        start = stop
-    return chunks
 
 
 #: Estimated work, in the spectral solver's ``N·s³`` units (see
@@ -401,8 +231,8 @@ def _pool_pays(
     """Whether a batch's estimated work reaches :data:`POOL_BREAK_EVEN_WORK`.
 
     Each task is estimated by the first solver of its policy; unstable models
-    cost nothing, since :func:`_evaluate_capturing` answers them without a
-    solve.  One task of unknown cost sends the whole batch to the pool.
+    cost nothing, since :func:`evaluate` answers them without a solve.  One
+    task of unknown cost sends the whole batch to the pool.
     """
     registry = registry if registry is not None else default_registry()
     work = 0.0
@@ -455,18 +285,10 @@ def _execute_parallel(
             stacklevel=4,
         )
         # The degraded path runs in-process, so unlike real workers it can —
-        # and must — honour the caller's registry.  Running serially also
-        # restores the full warm-start walk over the whole batch.
+        # and must — honour the caller's registry.
         return _execute_serial(tasks, registry)
-    chunks = _neighbourhood_chunks(tasks, workers)
     try:
-        if chunks is not None:
-            # One contiguous neighbourhood per worker: each process seeds its
-            # solves from its own already-solved neighbours.
-            mapped = executor.map(_solve_chunk, chunks, chunksize=1)
-            results = [result for chunk_results in mapped for result in chunk_results]
-        else:
-            results = list(executor.map(_solve_task, tasks, chunksize=chunksize))
+        results = list(executor.map(_solve_task, tasks, chunksize=chunksize))
     except BaseException:
         # A KeyboardInterrupt (or an async cancellation surfacing here) must
         # abort the batch promptly: cancel every queued item and return
@@ -490,6 +312,9 @@ def solve_many(
     profile: dict[int, list[AttemptRecord]] | None = None,
 ) -> list[SolveOutcome]:
     """Solve a batch of models, deduplicated and optionally in parallel.
+
+    Each distinct model is solved on its own, as :func:`evaluate` solves it
+    alone, so its outcome does not depend on the rest of the batch.
 
     Parameters
     ----------

@@ -45,11 +45,6 @@ from ..solvers import (
 from .results import SweepResult, SweepResultSet
 from .spec import SweepSpec
 
-#: Outcome record cached per (model parameters, policy) key; kept as an alias
-#: for backwards compatibility (it unpacks as (solver, stable, metrics, error)).
-_Outcome = SolveOutcome
-
-
 def cache_key(model: ScenarioModel, policy: SolverPolicy) -> tuple:
     """The memoisation key of one evaluation: full model parameters + policy."""
     return solution_cache_key(model, policy)

@@ -31,7 +31,6 @@ from repro.markov.kernels import LevelModeStructure
 def steady_state_iad_colamd(
     matrix: scipy.sparse.csr_matrix,
     structure: LevelModeStructure,
-    x0: np.ndarray | None,
     tol: float,
     max_sweeps: int,
 ) -> tuple[np.ndarray, int]:
@@ -60,10 +59,7 @@ def steady_state_iad_colamd(
     mode_factor = scipy.sparse.linalg.splu(mode_matrix)
 
     marginals = structure.mode_marginals
-    if x0 is not None and x0.shape == (size,) and float(np.sum(np.clip(x0, 0.0, None))) > 0.0:
-        vector = np.clip(np.asarray(x0, dtype=float), 0.0, None)
-    else:
-        vector = np.tile(marginals / num_levels, num_levels)
+    vector = np.tile(marginals / num_levels, num_levels)
 
     positive = marginals > 0.0
     for sweep in range(1, max_sweeps + 1):

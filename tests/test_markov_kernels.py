@@ -118,18 +118,8 @@ class TestSteadyStateCsr:
     def test_iad_matches_direct(self):
         generator, structure = _example_chain()
         direct = steady_state_csr(generator)
-        iterative = _steady_state_iad(
-            generator.tocsr(), structure, None, tol=1e-13, max_sweeps=500
-        )
+        iterative = _steady_state_iad(generator.tocsr(), structure, tol=1e-13, max_sweeps=500)
         np.testing.assert_allclose(iterative, direct, atol=1e-10)
-
-    def test_iad_accepts_a_warm_start(self):
-        generator, structure = _example_chain()
-        direct = steady_state_csr(generator)
-        warm = _steady_state_iad(
-            generator.tocsr(), structure, direct.copy(), tol=1e-13, max_sweeps=500
-        )
-        np.testing.assert_allclose(warm, direct, atol=1e-10)
 
     def test_residual_is_tiny(self):
         generator, _ = _example_chain()
@@ -210,11 +200,11 @@ class TestIadMatchesColamdOracle:
     TOL = 1e-12
 
     def _assert_same_iterates(self, generator, structure):
-        reference, sweeps = steady_state_iad_colamd(generator, structure, None, self.TOL, 2000)
-        solved = _steady_state_iad(generator, structure, None, self.TOL, sweeps)
+        reference, sweeps = steady_state_iad_colamd(generator, structure, self.TOL, 2000)
+        solved = _steady_state_iad(generator, structure, self.TOL, sweeps)
         np.testing.assert_allclose(solved, reference, rtol=0.0, atol=1e-13)
         with pytest.raises(SolverError, match="did not reach"):
-            _steady_state_iad(generator, structure, None, self.TOL, sweeps - 1)
+            _steady_state_iad(generator, structure, self.TOL, sweeps - 1)
 
     def test_example_chain(self):
         generator, structure = _example_chain()
@@ -226,14 +216,6 @@ class TestIadMatchesColamdOracle:
     @pytest.mark.parametrize("preset", preset_names())
     def test_preset_chain(self, preset):
         self._assert_same_iterates(*_preset_chain(preset))
-
-    def test_warm_start(self):
-        generator, structure = _lumped_chain()
-        seed = np.tile(structure.mode_marginals, structure.num_levels)
-        seed[: structure.num_modes] *= 40.0
-        reference, sweeps = steady_state_iad_colamd(generator, structure, seed, self.TOL, 2000)
-        solved = _steady_state_iad(generator, structure, seed, self.TOL, sweeps)
-        np.testing.assert_allclose(solved, reference, rtol=0.0, atol=1e-13)
 
 
 class TestLevelModeStructure:

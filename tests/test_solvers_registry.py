@@ -525,19 +525,28 @@ class TestOneCTMCPath:
         assert homogeneous.metrics["utilisation"] == pytest.approx(0.5, rel=1e-6)
 
 
-class TestWarmStartedSweeps:
-    def test_serial_sweep_matches_independent_solves(self):
-        models = [
-            sun_fitted_model(num_servers=4, arrival_rate=rate)
-            for rate in (1.2, 2.6, 1.5, 2.3, 1.9)
-        ]
-        swept = solve_many(models, "ctmc", cache=SolutionCache())
-        for model, outcome in zip(models, swept):
-            independent = evaluate(model, SolverPolicy(order=("ctmc",)))
-            assert outcome.solver == "ctmc"
-            assert outcome.metrics["mean_queue_length"] == pytest.approx(
-                independent.metrics["mean_queue_length"], abs=1e-8
-            )
+#: Two models whose own chains differ (876 and 1,344 states), in both orders:
+#: a solve that starts from the other's truncation level or iterate answers
+#: from a different chain than the model's own.
+_PAIRS = [
+    pytest.param(2, (1.7, 1.8), id="n2-up"),
+    pytest.param(2, (1.8, 1.7), id="n2-down"),
+]
+
+
+def _assert_solved_alone(models, outcomes):
+    for model, outcome in zip(models, outcomes, strict=True):
+        assert outcome.solver == "ctmc"
+        assert outcome == evaluate(model, SolverPolicy(order=("ctmc",)))
+
+
+class TestBatchesSolveEachPointAlone:
+    @pytest.mark.parametrize(
+        "servers, rates", [pytest.param(4, (1.2, 2.6, 1.5, 2.3, 1.9), id="n4-grid"), *_PAIRS]
+    )
+    def test_serial_sweep_matches_independent_solves(self, servers, rates):
+        models = [sun_fitted_model(num_servers=servers, arrival_rate=rate) for rate in rates]
+        _assert_solved_alone(models, solve_many(models, "ctmc", cache=SolutionCache()))
 
     def test_results_stay_aligned_despite_grid_reordering(self):
         rates = (2.9, 1.1, 2.0, 1.4, 2.5)
@@ -545,59 +554,35 @@ class TestWarmStartedSweeps:
         outcomes = solve_many(models, "ctmc", cache=SolutionCache())
         lengths = [outcome.metrics["mean_queue_length"] for outcome in outcomes]
         # Queue length is monotone in the arrival rate, so alignment bugs
-        # (results permuted by the nearest-neighbour visit order) would
-        # break the order statistics.
+        # (results permuted on their way back from the solve) would break
+        # the order statistics.
         assert sorted(lengths) == [lengths[i] for i in (1, 3, 2, 4, 0)]
 
-    def test_scenario_sweep_warm_starts_match_cold_solves(self):
+    def test_scenario_sweep_matches_independent_solves(self):
         from repro.scenarios import scenario_preset
 
         base = scenario_preset("single-repairman")
         models = [base.with_arrival_rate(rate) for rate in (0.8, 1.2, 1.0)]
-        swept = solve_many(models, "ctmc", cache=SolutionCache())
-        for model, outcome in zip(models, swept):
-            cold = evaluate(model, SolverPolicy(order=("ctmc",)))
-            assert outcome.metrics["mean_queue_length"] == pytest.approx(
-                cold.metrics["mean_queue_length"], abs=1e-8
-            )
+        _assert_solved_alone(models, solve_many(models, "ctmc", cache=SolutionCache()))
 
-    def test_neighbourhood_chunks_partition_the_grid_walk(self):
-        from repro.solvers.facade import _grid_order, _neighbourhood_chunks, _parameter_vector
-
-        rates = (2.9, 1.1, 2.0, 1.4, 2.5, 1.7, 2.2)
-        tasks = [
-            (index, sun_fitted_model(num_servers=4, arrival_rate=rate), SolverPolicy())
-            for index, rate in enumerate(rates)
-        ]
-        chunks = _neighbourhood_chunks(tasks, 3)
-        assert chunks is not None
-        # Every task appears exactly once and each worker gets a contiguous,
-        # near-equal run of the greedy nearest-neighbour walk.
-        flattened = [task for chunk in chunks for task in chunk]
-        assert sorted(index for index, _, _ in flattened) == list(range(len(rates)))
-        order = _grid_order([_parameter_vector(model) for _, model, _ in tasks])
-        assert [index for index, _, _ in flattened] == [tasks[i][0] for i in order]
-        assert max(len(chunk) for chunk in chunks) - min(len(chunk) for chunk in chunks) <= 1
-        # Structurally mixed batches have no common grid: no chunking.
-        from repro.scenarios import scenario_preset
-
-        mixed = tasks[:2] + [(9, scenario_preset("single-repairman"), SolverPolicy())]
-        assert _neighbourhood_chunks(mixed, 2) is None
-
-    def test_parallel_sweep_matches_serial_warm_started_results(self):
-        rates = (2.9, 1.1, 2.0, 1.4, 2.5, 1.7, 2.2, 1.05)
-        models = [sun_fitted_model(num_servers=4, arrival_rate=rate) for rate in rates]
-        serial = solve_many(models, "ctmc", cache=SolutionCache())
+    @pytest.mark.parametrize(
+        "servers, rates",
+        [
+            pytest.param(4, (2.9, 1.1, 2.0, 1.4, 2.5, 1.7, 2.2, 1.05), id="n4-grid"),
+            *_PAIRS,
+            # Two points per worker: a worker's second solve must not start
+            # from its first.
+            pytest.param(2, (1.7, 1.8, 1.0, 1.1), id="n2-two-per-worker"),
+        ],
+    )
+    def test_pooled_sweep_matches_independent_solves(self, servers, rates):
+        models = [sun_fitted_model(num_servers=servers, arrival_rate=rate) for rate in rates]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            parallel = solve_many(
+            pooled = solve_many(
                 models, "ctmc", parallel=True, max_workers=2, cache=SolutionCache()
             )
-        for swept, cold in zip(parallel, serial):
-            assert swept.solver == "ctmc"
-            assert swept.metrics["mean_queue_length"] == pytest.approx(
-                cold.metrics["mean_queue_length"], abs=1e-8
-            )
+        _assert_solved_alone(models, pooled)
 
 
 class TestSweepRunnerDeduplication:
